@@ -6,8 +6,10 @@ has at most ten states, so everything is computed exactly: communicating
 classes are strongly connected components of the positive-probability graph,
 a class is closed (equivalently, recurrent in a finite chain) when no edge
 leaves it, and the linear systems for absorption probabilities, expected
-absorption times and stationary distributions are solved by Gauss-Jordan
-elimination over rationals.
+absorption times and stationary distributions are solved by fraction-free
+Gauss-Jordan elimination of integer matrices (transition probabilities
+times their common denominator, six for a die: face counts).  Every result
+is an exact rational.
 
 Ergodicity is taken to mean irreducibility of the reachable chain: a single
 closed communicating class, i.e. every configuration can reach every other
@@ -17,20 +19,21 @@ not affect the verdict.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .core import (
+    FACE_COUNT,
     DieConfig,
     MutationRule,
     Parity,
+    event_table,
     initial_config,
     parity_probability,
-    transitions,
 )
 from .serialize import fraction_fields, fraction_pair
 
@@ -104,29 +107,27 @@ class AbsorptionReport:
 
 
 def build_chain(rule: MutationRule) -> ChainModel:
-    """Breadth-first closure of the transition relation from the initial die."""
-    start = initial_config()
-    states: list[DieConfig] = [start]
-    position: dict[DieConfig, int] = {start: 0}
-    cursor = 0
-    while cursor < len(states):
-        for result in transitions(states[cursor], rule):
-            if result.state not in position:
-                position[result.state] = len(states)
-                states.append(result.state)
-        cursor += 1
+    """Breadth-first closure of the event table from the initial die."""
+    table = event_table(rule)
+    states: list[DieConfig] = [initial_config()]
+    position: dict[DieConfig, int] = {states[0]: 0}
+    for state in states:
+        for _, successor, _ in table[state]:
+            if successor not in position:
+                position[successor] = len(states)
+                states.append(successor)
     rows = []
     for state in states:
-        row = [Fraction(0)] * len(states)
-        for result in transitions(state, rule):
-            row[position[result.state]] += result.probability
-        rows.append(tuple(row))
+        faces = [0] * len(states)
+        for _, successor, count in table[state]:
+            faces[position[successor]] += count
+        rows.append(tuple(Fraction(count, FACE_COUNT) for count in faces))
     return ChainModel(rule=rule, states=tuple(states), matrix=tuple(rows))
 
 
 def _successors(chain: ChainModel) -> list[list[int]]:
     return [
-        [j for j, probability in enumerate(row) if probability > 0]
+        [j for j, probability in enumerate(row) if probability]
         for row in chain.matrix
     ]
 
@@ -134,43 +135,25 @@ def _successors(chain: ChainModel) -> list[list[int]]:
 def classify(chain: ChainModel) -> ChainClassification:
     """Partition the states into communicating classes and label each.
 
-    Classes are strongly connected components (Tarjan); a class is closed
-    when no positive-probability transition leaves it, recurrent exactly
-    when closed, and absorbing when it is a closed singleton.
+    Classes are the sets of mutually reachable states (one search per state
+    suffices for ten states); a class is closed when no positive-probability
+    transition leaves it, recurrent exactly when closed, and absorbing when
+    it is a closed singleton.
     """
     successors = _successors(chain)
     n = len(chain.states)
-    order: list[int | None] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = itertools.count()
-    components: list[tuple[int, ...]] = []
-
-    def connect(v: int) -> None:
-        order[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack[v] = True
-        for w in successors[v]:
-            if order[w] is None:
-                connect(w)
-                low[v] = min(low[v], low[w])
-            elif on_stack[w]:
-                low[v] = min(low[v], order[w])
-        if low[v] == order[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                component.append(w)
-                if w == v:
-                    break
-            components.append(tuple(sorted(component)))
-
+    reach = []
     for v in range(n):
-        if order[v] is None:
-            connect(v)
-    components.sort(key=min)
+        seen, stack = {v}, [v]
+        while stack:
+            for w in successors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    components = sorted(
+        {tuple(w for w in sorted(reach[v]) if v in reach[w]) for v in range(n)}, key=min
+    )
 
     class_of = [0] * n
     for c, members in enumerate(components):
@@ -259,40 +242,50 @@ def is_ergodic(chain: ChainModel) -> ErgodicityVerdict:
     )
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gauss-Jordan elimination; raises on a singular system."""
+def _integer_matrix(chain: ChainModel) -> tuple[int, list[list[int]]]:
+    """(scale, scale * P) for the least common denominator: 6 and face counts for a die."""
+    rows = chain.matrix
+    scale = lcm(*(p.denominator for row in rows for p in row))
+    return scale, [[p.numerator * (scale // p.denominator) for p in row] for row in rows]
+
+
+def _eliminate(matrix: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of the integer system A X = B.
+
+    Returns (Y, d) with X = Y / d exactly.  Each step divides by the previous
+    pivot, and the division is exact (Bareiss), so every entry stays an
+    integer and no ``Fraction`` is built.  Raises on a singular system.
+    """
     n = len(matrix)
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    rows = [list(row) + list(extra) for row, extra in zip(matrix, rhs)]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise ArithmeticError("singular linear system")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = rows[col][col]
-        rows[col] = [x / scale for x in rows[col]]
+        top = rows[col]
+        lead = top[col]
         for r in range(n):
-            if r != col and rows[r][col] != 0:
+            if r != col:
                 factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+                rows[r] = [(lead * x - factor * y) // previous for x, y in zip(rows[r], top)]
+        previous = lead
+    return [row[n:] for row in rows], previous
 
 
 def _stationary(chain: ChainModel, members: tuple[int, ...]) -> dict[int, Fraction]:
     """Exact stationary distribution of one closed class."""
     m = len(members)
-    lookup = {v: i for i, v in enumerate(members)}
-    # pi (P - I) = 0 transposed, with the last equation replaced by sum(pi) = 1
+    scale, counts = _integer_matrix(chain)
+    # pi (P - I) = 0 transposed and scaled, the last equation replaced by sum(pi) = 1
     matrix = [
-        [
-            chain.matrix[members[i]][members[j]] - (1 if i == j else 0)
-            for i in range(m)
-        ]
-        for j in range(m)
+        [counts[members[i]][members[j]] - scale * (i == j) for i in range(m)]
+        for j in range(m - 1)
     ]
-    matrix[m - 1] = [Fraction(1)] * m
-    rhs = [Fraction(0)] * (m - 1) + [Fraction(1)]
-    solution = _solve(matrix, rhs)
-    return {v: solution[lookup[v]] for v in members}
+    matrix.append([1] * m)
+    solution, det = _eliminate(matrix, [[0]] * (m - 1) + [[1]])
+    return {v: Fraction(solution[i][0], det) for i, v in enumerate(members)}
 
 
 def _class_even_share(chain: ChainModel, members: tuple[int, ...]) -> Fraction:
@@ -311,24 +304,16 @@ def _class_even_share(chain: ChainModel, members: tuple[int, ...]) -> Fraction:
 def absorption(chain: ChainModel) -> AbsorptionReport:
     """First-step analysis of eventual entry into each closed class.
 
-    For each closed class C the entry probabilities h solve (I - Q) h = r,
-    where Q is the transient-to-transient block and r the one-step mass into
-    C.  Conditional expected entry times come from the same factorization
-    via E[T | enter C] = E[T * 1{enter C}] / P(enter C); the unconditional
-    expected time solves (I - Q) u = 1.
+    With Q the transient-to-transient block and R the one-step mass from
+    each transient state into each closed class, one elimination of the
+    integer matrix scale * (I - Q) gives the fundamental matrix
+    N = (I - Q)^-1 (Kemeny and Snell, Finite Markov Chains, 1960).  From it:
+    the expected time to absorption N 1, the entry probabilities B = N R,
+    and the conditional entry times E[T | enter C] = (N B)[i, C] / B[i, C].
     """
     classification = classify(chain)
     n = len(chain.states)
     transient = [v for v in range(n) if not classification.recurrent[v]]
-    t_index = {v: i for i, v in enumerate(transient)}
-    identity_minus_q = [
-        [
-            Fraction(1 if i == j else 0) - chain.matrix[v][w]
-            for j, w in enumerate(transient)
-        ]
-        for i, v in enumerate(transient)
-    ]
-
     start = chain.index(initial_config())
     closed_classes = [
         members
@@ -336,65 +321,48 @@ def absorption(chain: ChainModel) -> AbsorptionReport:
         if closed
     ]
 
-    if transient:
-        ones = [Fraction(1)] * len(transient)
-        steps = _solve(identity_minus_q, ones)
-    else:
-        steps = []
-    expected_steps = steps[t_index[start]] if start in t_index else Fraction(0)
-
     entries = []
-    for members in closed_classes:
-        inside = set(members)
-        if transient:
-            one_step = [
-                sum((chain.matrix[v][w] for w in members), Fraction(0))
-                for v in transient
-            ]
-            hitting = _solve(identity_minus_q, one_step)
-        else:
-            hitting = []
+    if start in transient:
+        scale, counts = _integer_matrix(chain)
+        identity_minus_q = [
+            [scale * (v == w) - counts[v][w] for w in transient] for v in transient
+        ]
+        identity = [[int(v == w) for w in transient] for v in transient]
+        # N = scale * inverse / det
+        inverse, det = _eliminate(identity_minus_q, identity)
+        origin = transient.index(start)
+        from_start = inverse[origin]
+        expected_steps = Fraction(scale * sum(from_start), det)
+        for members in closed_classes:
+            # det * B[:, C]
+            into = [sum(counts[v][w] for w in members) for v in transient]
+            entry = [sum(map(mul, row, into)) for row in inverse]
+            hits = entry[origin]
+            probability = Fraction(hits, det)
+            conditional = (
+                Fraction(scale * sum(map(mul, from_start, entry)), det * hits)
+                if hits
+                else None
+            )
+            entries.append((members, probability, conditional))
+    else:
+        expected_steps = Fraction(0)
+        for members in closed_classes:
+            inside = start in members
+            entries.append((members, Fraction(inside), Fraction(0) if inside else None))
 
-        def h(v: int) -> Fraction:
-            if v in inside:
-                return Fraction(1)
-            if classification.recurrent[v]:
-                return Fraction(0)
-            return hitting[t_index[v]]
-
-        if start in t_index:
-            probability = hitting[t_index[start]]
-        else:
-            probability = Fraction(1 if start in inside else 0)
-
-        if start in t_index and probability > 0:
-            # E[T * 1{enter C}] solves (I - Q) w = P h restricted to transients
-            weighted = [
-                sum(
-                    (chain.matrix[v][w] * h(w) for w in range(n)),
-                    Fraction(0),
-                )
-                for v in transient
-            ]
-            conditional = _solve(identity_minus_q, weighted)[t_index[start]] / probability
-        elif probability > 0:
-            conditional = Fraction(0)
-        else:
-            conditional = None
-
-        entries.append(
+    return AbsorptionReport(
+        rule=chain.rule,
+        initial=chain.states[start],
+        entries=tuple(
             AbsorptionEntry(
                 states=tuple(chain.states[v] for v in members),
                 probability=probability,
                 expected_steps=conditional,
                 even_share=_class_even_share(chain, members),
             )
-        )
-
-    return AbsorptionReport(
-        rule=chain.rule,
-        initial=chain.states[start],
-        entries=tuple(entries),
+            for members, probability, conditional in entries
+        ),
         expected_steps=expected_steps,
     )
 

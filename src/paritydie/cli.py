@@ -12,9 +12,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,7 @@ from .chain import chain_report
 from .core import MutationRule, Parity
 from .enumeration import DepthRangeError, path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
-from .serialize import fraction_fields
+from .serialize import fraction_fields, fraction_pair
 from .stats import scenario, sequential_report, fairness_report
 
 EXIT_OK = 0
@@ -34,9 +34,6 @@ EXIT_RANGE = 3
 # enumerator disagrees with the EEE/EEO/OOE/OOO rows under every rule here;
 # the table command exists to put both side by side, so these constants are
 # for display and mismatch marking only.
-PUBLISHED_STANDARD_TABLE = {
-    "".join(seq): Fraction(1, 8) for seq in product("EO", repeat=3)
-}
 PUBLISHED_NONSTANDARD_TABLE = {
     "EEE": Fraction(7, 27),
     "EEO": Fraction(2, 27),
@@ -133,19 +130,8 @@ def _fraction_row(value: Fraction) -> list:
 def _cmd_table(args) -> int:
     enumerated = path_distribution(args.rule, 3).entries
     standard = path_distribution(MutationRule.NO_MUTATION, 3).entries
-    rows = []
-    for sequence in sorted(PUBLISHED_NONSTANDARD_TABLE):
-        computed = enumerated[sequence]
-        published = PUBLISHED_NONSTANDARD_TABLE[sequence]
-        rows.append(
-            {
-                "sequence": sequence,
-                "standard": fraction_fields(standard[sequence]),
-                "enumerated": fraction_fields(computed),
-                "published": fraction_fields(published),
-                "match": computed == published,
-            }
-        )
+    published = PUBLISHED_NONSTANDARD_TABLE
+    sequences = sorted(published)
     if args.format == "csv":
         _print_csv(
             [
@@ -161,27 +147,33 @@ def _cmd_table(args) -> int:
             ],
             [
                 [
-                    row["sequence"],
-                    row["standard"]["numerator"],
-                    row["standard"]["denominator"],
-                    row["enumerated"]["numerator"],
-                    row["enumerated"]["denominator"],
-                    row["enumerated"]["decimal"],
-                    row["published"]["numerator"],
-                    row["published"]["denominator"],
-                    row["match"],
+                    sequence,
+                    *fraction_pair(standard[sequence]),
+                    *_fraction_row(enumerated[sequence]),
+                    *fraction_pair(published[sequence]),
+                    enumerated[sequence] == published[sequence],
                 ]
-                for row in rows
+                for sequence in sequences
             ],
         )
-    else:
-        _print_json(
-            {
-                "rule": args.rule.value,
-                "rows": rows,
-                "mismatches": [r["sequence"] for r in rows if not r["match"]],
-            }
-        )
+        return EXIT_OK
+    rows = [
+        {
+            "sequence": sequence,
+            "standard": fraction_fields(standard[sequence]),
+            "enumerated": fraction_fields(enumerated[sequence]),
+            "published": fraction_fields(published[sequence]),
+            "match": enumerated[sequence] == published[sequence],
+        }
+        for sequence in sequences
+    ]
+    _print_json(
+        {
+            "rule": args.rule.value,
+            "rows": rows,
+            "mismatches": [row["sequence"] for row in rows if not row["match"]],
+        }
+    )
     return EXIT_OK
 
 
@@ -224,37 +216,24 @@ def _cmd_chain(args) -> int:
                 ],
             )
         elif section == "matrix":
-            rows = []
             states = ["".join(map(str, s)) for s in report["states"]]
-            for i, row in enumerate(report["matrix"]):
-                for j, (numerator, denominator) in enumerate(row):
-                    if numerator:
-                        rows.append(
-                            [
-                                states[i],
-                                states[j],
-                                numerator,
-                                denominator,
-                                numerator / denominator,
-                            ]
-                        )
+            rows = [
+                [states[i], states[j], numerator, denominator, numerator / denominator]
+                for i, row in enumerate(report["matrix"])
+                for j, (numerator, denominator) in enumerate(row)
+                if numerator
+            ]
             _print_csv(["from", "to", "numerator", "denominator", "decimal"], rows)
         elif section == "absorption":
-            rows = []
-            for entry in report["absorption"]["entries"]:
-                expected = entry["expected_steps"]
-                rows.append(
-                    [
-                        " ".join("".join(map(str, s)) for s in entry["states"]),
-                        entry["probability"]["numerator"],
-                        entry["probability"]["denominator"],
-                        entry["probability"]["decimal"],
-                        expected["decimal"] if expected else "",
-                        entry["even_share"]["numerator"],
-                        entry["even_share"]["denominator"],
-                        entry["even_share"]["decimal"],
-                    ]
-                )
+            rows = [
+                [
+                    " ".join("".join(map(str, s)) for s in entry["states"]),
+                    *entry["probability"].values(),
+                    entry["expected_steps"]["decimal"] if entry["expected_steps"] else "",
+                    *entry["even_share"].values(),
+                ]
+                for entry in report["absorption"]["entries"]
+            ]
             _print_csv(
                 [
                     "states",
@@ -503,7 +482,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``paritydie ... | head``): stop quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SequenceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -3,14 +3,20 @@
 The die is tracked as three opposite-face pairs classified by parity, so a
 configuration is the count triple (ee, eo, oo) with ee + eo + oo = 3.  Face
 identity never influences the dynamics, which collapses the 2**6 raw parity
-assignments to 10 canonical states without changing any probability.  All
-probabilities are exact rationals.
+assignments to 10 canonical states without changing any probability.
+
+Every roll shows one of six equally likely faces, so ``event_table`` keeps,
+per rule and configuration, integer face counts rather than probabilities;
+the rest of the package computes with those counts and returns exact
+rationals (``Fraction(count, 6**rolls)``) at its public boundary.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 PAIR_COUNT = 3
@@ -112,34 +118,56 @@ def parity_probability(config: DieConfig, parity: Parity) -> Fraction:
     return Fraction(faces, FACE_COUNT)
 
 
-def roll_events(config: DieConfig, rule: MutationRule) -> list[RollResult]:
-    """Unmerged single-roll events in fixed order.
+class RollEvent(NamedTuple):
+    """One unmerged roll: outcome, next configuration, faces that produce it."""
 
-    The order is: EE-face roll, EO-pair even face, EO-pair odd face, OO-face
-    roll.  Zero-probability events are dropped but the relative order of the
-    rest is preserved; the Monte Carlo sampler relies on this ordering.
+    outcome: Parity
+    state: DieConfig
+    faces: int
+
+
+# Events in their fixed order: EE-face roll, EO-pair even face, EO-pair odd
+# face, OO-face roll.  Per rule, the change each makes to (ee, eo, oo): a
+# rolled EO pair becomes EE or OO under copy and increment, and increment
+# also turns a rolled EE or OO pair into EO.
+_OUTCOMES = (Parity.EVEN, Parity.EVEN, Parity.ODD, Parity.ODD)
+_CHANGES = {
+    MutationRule.NO_MUTATION: ((0, 0, 0),) * 4,
+    MutationRule.PARITY_COPY: ((0, 0, 0), (1, -1, 0), (0, -1, 1), (0, 0, 0)),
+    MutationRule.INCREMENT: ((-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)),
+}
+
+
+@lru_cache(maxsize=None)
+def event_table(rule: MutationRule) -> dict[DieConfig, tuple[RollEvent, ...]]:
+    """Every configuration's roll events in the fixed order, built once per rule.
+
+    Events no face produces are dropped, the rest keep their relative order;
+    the Monte Carlo sampler relies on it.  Face counts of one configuration
+    sum to ``FACE_COUNT``, so a path of d rolls weighs an integer number of
+    face sequences out of ``FACE_COUNT**d``.  The table is shared; callers
+    must not modify it.
     """
-    config.validate()
-    ee, eo, oo = config
-    if rule is MutationRule.NO_MUTATION:
-        after_ee = after_eo_even = after_eo_odd = after_oo = config
-    elif rule is MutationRule.PARITY_COPY:
-        after_ee = config
-        after_eo_even = DieConfig(ee + 1, eo - 1, oo)
-        after_eo_odd = DieConfig(ee, eo - 1, oo + 1)
-        after_oo = config
-    else:
-        after_ee = DieConfig(ee - 1, eo + 1, oo)
-        after_eo_even = DieConfig(ee + 1, eo - 1, oo)
-        after_eo_odd = DieConfig(ee, eo - 1, oo + 1)
-        after_oo = DieConfig(ee, eo + 1, oo - 1)
-    events = [
-        RollResult(Parity.EVEN, after_ee, Fraction(2 * ee, FACE_COUNT)),
-        RollResult(Parity.EVEN, after_eo_even, Fraction(eo, FACE_COUNT)),
-        RollResult(Parity.ODD, after_eo_odd, Fraction(eo, FACE_COUNT)),
-        RollResult(Parity.ODD, after_oo, Fraction(2 * oo, FACE_COUNT)),
+    # Next states are the table's own key objects, so looking one up is an
+    # identity hit; the sampler steps through the table once per toss.
+    configs = {config: config for config in all_configs()}
+    table = {}
+    for config in configs:
+        faces = (2 * config.ee, config.eo, config.eo, 2 * config.oo)
+        table[config] = tuple(
+            RollEvent(outcome, configs[tuple(map(add, config, change))], count)
+            for outcome, change, count in zip(_OUTCOMES, _CHANGES[rule], faces)
+            if count
+        )
+    return table
+
+
+def roll_events(config: DieConfig, rule: MutationRule) -> list[RollResult]:
+    """Unmerged single-roll events of ``config``, in ``event_table`` order."""
+    return [
+        RollResult(outcome, state, Fraction(faces, FACE_COUNT))
+        for outcome, state, faces in event_table(rule)[config.validate()]
     ]
-    return [event for event in events if event.probability > 0]
 
 
 def transitions(config: DieConfig, rule: MutationRule) -> list[RollResult]:
@@ -148,16 +176,18 @@ def transitions(config: DieConfig, rule: MutationRule) -> list[RollResult]:
     Probabilities are positive rationals summing exactly to 1; order is
     deterministic (first occurrence in the fixed event order).
     """
-    merged: dict[tuple[Parity, DieConfig], Fraction] = {}
-    for outcome, state, probability in roll_events(config, rule):
-        key = (outcome, state)
-        merged[key] = merged.get(key, Fraction(0)) + probability
-    return [RollResult(outcome, state, p) for (outcome, state), p in merged.items()]
+    merged: dict[tuple[Parity, DieConfig], int] = {}
+    for outcome, state, faces in event_table(rule)[config.validate()]:
+        merged[outcome, state] = merged.get((outcome, state), 0) + faces
+    return [
+        RollResult(outcome, state, Fraction(faces, FACE_COUNT))
+        for (outcome, state), faces in merged.items()
+    ]
 
 
 def is_frozen(config: DieConfig, rule: MutationRule) -> bool:
     """True when no roll can change the configuration."""
-    return all(result.state == config for result in transitions(config, rule))
+    return all(event.state == config for event in event_table(rule)[config.validate()])
 
 
 def flip_parities(config: DieConfig) -> DieConfig:

@@ -1,25 +1,29 @@
 """Exact enumeration of toss-path and configuration distributions.
 
-Everything here expands the one-roll transition relation from the initial
-configuration in exact rational arithmetic.  Path enumeration is exponential
-in depth (every parity sequence is a key), so it is guarded by ``max_depth``;
-the configuration and even-count queries merge states per step and stay
+Everything here expands the per-rule event table of ``core`` from the
+initial configuration.  Weights inside the loops are integer face-sequence
+counts out of ``6**rolls``; results are exact ``Fraction``s built from those
+counts on the way out.  Path enumeration is exponential in depth (every
+parity sequence is a key), so it is guarded by ``max_depth``; the
+configuration and even-count queries merge states per step and stay
 polynomial.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .core import (
+    FACE_COUNT,
     DieConfig,
     MutationRule,
     Parity,
+    event_table,
     initial_config,
     parity_probability,
-    transitions,
 )
 from .serialize import fraction_fields
 
@@ -80,28 +84,37 @@ def path_distribution(
 ) -> PathDistribution:
     """Exact distribution over parity sequences of length ``depth``.
 
-    Expands the transition tree from the initial configuration, merging
-    identical die states under each prefix.  Cost and result size grow as
-    2**depth, hence the ``max_depth`` guard; pass a larger ``max_depth``
-    explicitly to go deeper.
+    Expands the prefixes level by level from the initial configuration,
+    merging identical die states under each prefix; weights are face-sequence
+    counts out of ``6**depth``.  The last level is summed straight into the
+    result.  Cost and result size grow as 2**depth, hence the ``max_depth``
+    guard; pass a larger ``max_depth`` explicitly to go deeper.
     """
     _check_depth(depth, max_depth, minimum=1)
-    entries: dict[str, Fraction] = {}
-
-    def expand(prefix: str, weights: dict[DieConfig, Fraction]) -> None:
-        if len(prefix) == depth:
-            entries[prefix] = sum(weights.values(), Fraction(0))
-            return
-        for parity in (Parity.EVEN, Parity.ODD):
-            branch: dict[DieConfig, Fraction] = defaultdict(Fraction)
+    table = event_table(rule)
+    frontier: list[tuple[str, dict[DieConfig, int]]] = [("", {initial_config(): 1})]
+    for _ in range(depth - 1):
+        grown = []
+        for prefix, weights in frontier:
+            even: dict[DieConfig, int] = {}
+            odd: dict[DieConfig, int] = {}
             for config, weight in weights.items():
-                for outcome, state, probability in transitions(config, rule):
-                    if outcome is parity:
-                        branch[state] += weight * probability
-            if branch:
-                expand(prefix + parity.char, dict(branch))
-
-    expand("", {initial_config(): Fraction(1)})
+                for outcome, state, faces in table[config]:
+                    branch = even if outcome is Parity.EVEN else odd
+                    branch[state] = branch.get(state, 0) + weight * faces
+            if even:
+                grown.append((prefix + "E", even))
+            if odd:
+                grown.append((prefix + "O", odd))
+        frontier = grown
+    total = FACE_COUNT**depth
+    entries: dict[str, Fraction] = {}
+    for prefix, weights in frontier:
+        even = sum(weight * config.even_faces for config, weight in weights.items())
+        odd = sum(weight * config.odd_faces for config, weight in weights.items())
+        for char, count in (("E", even), ("O", odd)):
+            if count:
+                entries[prefix + char] = Fraction(count, total)
     return PathDistribution(rule=rule, depth=depth, entries=entries)
 
 
@@ -110,14 +123,17 @@ def config_distribution(
 ) -> ConfigDistribution:
     """Exact distribution over configurations after ``steps`` rolls."""
     _check_depth(steps, max_depth, minimum=0)
-    weights: dict[DieConfig, Fraction] = {initial_config(): Fraction(1)}
+    table = event_table(rule)
+    weights: dict[DieConfig, int] = {initial_config(): 1}
     for _ in range(steps):
-        merged: dict[DieConfig, Fraction] = defaultdict(Fraction)
+        merged: dict[DieConfig, int] = {}
         for config, weight in weights.items():
-            for _, state, probability in transitions(config, rule):
-                merged[state] += weight * probability
-        weights = dict(merged)
-    return ConfigDistribution(rule=rule, step=steps, entries=weights)
+            for _, state, faces in table[config]:
+                merged[state] = merged.get(state, 0) + weight * faces
+        weights = merged
+    total = FACE_COUNT**steps
+    entries = {config: Fraction(weight, total) for config, weight in weights.items()}
+    return ConfigDistribution(rule=rule, step=steps, entries=entries)
 
 
 def imbalance_distribution(
@@ -129,19 +145,23 @@ def imbalance_distribution(
     polynomial in ``steps`` even though the full path distribution does not.
     """
     _check_depth(steps, max_depth, minimum=1)
-    weights: dict[tuple[int, DieConfig], Fraction] = {
-        (0, initial_config()): Fraction(1)
-    }
-    for _ in range(steps):
-        merged: dict[tuple[int, DieConfig], Fraction] = defaultdict(Fraction)
-        for (evens, config), weight in weights.items():
-            for outcome, state, probability in transitions(config, rule):
-                merged[evens + (outcome is Parity.EVEN), state] += weight * probability
-        weights = dict(merged)
-    marginal: dict[int, Fraction] = defaultdict(Fraction)
-    for (evens, _), weight in weights.items():
-        marginal[evens] += weight
-    return dict(sorted(marginal.items()))
+    table = event_table(rule)
+    # per configuration, face-sequence counts indexed by the even count
+    weights: dict[DieConfig, list[int]] = {initial_config(): [1]}
+    for step in range(steps):
+        merged: dict[DieConfig, list[int]] = {}
+        for config, counts in weights.items():
+            for outcome, state, faces in table[config]:
+                target = merged.get(state)
+                if target is None:
+                    target = merged[state] = [0] * (step + 2)
+                lo = outcome is Parity.EVEN
+                hi = lo + step + 1
+                target[lo:hi] = map(add, target[lo:hi], map(mul, counts, repeat(faces)))
+        weights = merged
+    total = FACE_COUNT**steps
+    marginal = map(sum, zip(*weights.values()))
+    return {evens: Fraction(weight, total) for evens, weight in enumerate(marginal) if weight}
 
 
 def next_even_probability(distribution: ConfigDistribution) -> Fraction:

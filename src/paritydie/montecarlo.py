@@ -5,8 +5,8 @@ Mersenne Twister generator seeded with ``derive_seed(master_seed, i)``, so
 aggregate results depend only on (rule, tosses, runs, master_seed), never on
 execution order or the number of workers.
 
-Sampling converts the exact event probabilities to cumulative double
-thresholds in the fixed event order (EE roll, EO even face, EO odd face,
+Sampling converts the face counts of ``core.event_table`` to cumulative
+double thresholds in the fixed event order (EE roll, EO even face, EO odd face,
 OO roll); one uniform draw per toss picks the first bracket containing it.
 """
 
@@ -16,18 +16,18 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import sqrt
 
 from .core import (
+    FACE_COUNT,
     DieConfig,
     MutationRule,
     Parity,
-    all_configs,
+    event_table,
     initial_config,
     is_frozen,
-    roll_events,
 )
 from .enumeration import PathDistribution
 
@@ -57,19 +57,14 @@ def _sampler_tables(
 ) -> dict[DieConfig, tuple[tuple[float, ...], tuple[tuple[Parity, DieConfig], ...], bool]]:
     """Per-configuration cumulative thresholds, results and frozen flags.
 
-    Thresholds are floats of exact partial sums, so the final threshold is
-    exactly 1.0 and every uniform draw in [0, 1) lands in some bracket.
+    Thresholds are the correctly rounded floats of the exact partial sums
+    (face counts over six), so the final threshold is exactly 1.0 and every
+    uniform draw in [0, 1) lands in some bracket.
     """
     tables = {}
-    for config in all_configs():
-        events = roll_events(config, rule)
-        running = Fraction(0)
-        thresholds = []
-        for event in events:
-            running += event.probability
-            thresholds.append(float(running))
+    for config, events in event_table(rule).items():
         tables[config] = (
-            tuple(thresholds),
+            tuple(faces / FACE_COUNT for faces in accumulate(event.faces for event in events)),
             tuple((event.outcome, event.state) for event in events),
             is_frozen(config, rule),
         )

@@ -1,7 +1,7 @@
 """Independent oracles the test suite checks the library against.
 
 These deliberately avoid the library's own state representation: the path
-oracle works on a position-labeled die (six faces, mutated in place) and the
+oracles work on a position-labeled die (six faces, mutated in place) and the
 reachability oracle is a boolean transitive closure.
 """
 
@@ -35,6 +35,72 @@ def brute_force_path_distribution(rule: MutationRule, depth: int) -> dict[str, F
         key = "".join(outcomes)
         distribution[key] = distribution.get(key, Fraction(0)) + weight
     return distribution
+
+
+def _labelled_rolls(rule: MutationRule, parities: int):
+    """(shown parity, next assignment) for each of the six faces of a labeled die.
+
+    Bit ``f`` of ``parities`` is set when face ``f`` is even; faces 0..5 form
+    the opposite pairs (0,1), (2,3), (4,5).
+    """
+    for face in range(6):
+        shown = parities >> face & 1
+        hidden = 1 << (face ^ 1)
+        if rule is MutationRule.PARITY_COPY:
+            after = parities | hidden if shown else parities & ~hidden
+        elif rule is MutationRule.INCREMENT:
+            after = parities ^ hidden
+        else:
+            after = parities
+        yield ("E" if shown else "O"), after
+
+
+_STANDARD_DIE = 0b010101  # faces 0, 2, 4 even
+
+
+def labelled_path_distribution(rule: MutationRule, depth: int) -> dict[str, Fraction]:
+    """Dynamic program over (prefix, labeled assignment) with Fraction weights."""
+    sixth = Fraction(1, 6)
+    layer = {("", _STANDARD_DIE): Fraction(1)}
+    for _ in range(depth):
+        grown: dict[tuple[str, int], Fraction] = {}
+        for (prefix, parities), weight in layer.items():
+            for shown, after in _labelled_rolls(rule, parities):
+                key = (prefix + shown, after)
+                grown[key] = grown.get(key, Fraction(0)) + weight * sixth
+        layer = grown
+    paths: dict[str, Fraction] = {}
+    for (prefix, _), weight in layer.items():
+        paths[prefix] = paths.get(prefix, Fraction(0)) + weight
+    return paths
+
+
+def labelled_step_distributions(
+    rule: MutationRule, steps: int
+) -> tuple[dict[tuple[int, int, int], Fraction], dict[int, Fraction]]:
+    """Configuration and even-count distributions after ``steps`` rolls.
+
+    A dynamic program over (even count, labeled assignment) for all 64
+    face-parity assignments, with Fraction weights; configurations are read
+    off the final assignments as (EE, EO, OO) pair counts.
+    """
+    sixth = Fraction(1, 6)
+    layer = {(0, _STANDARD_DIE): Fraction(1)}
+    for _ in range(steps):
+        grown: dict[tuple[int, int], Fraction] = {}
+        for (evens, parities), weight in layer.items():
+            for shown, after in _labelled_rolls(rule, parities):
+                key = (evens + (shown == "E"), after)
+                grown[key] = grown.get(key, Fraction(0)) + weight * sixth
+        layer = grown
+    configs: dict[tuple[int, int, int], Fraction] = {}
+    counts: dict[int, Fraction] = {}
+    for (evens, parities), weight in layer.items():
+        pairs = [parities >> (2 * pair) & 0b11 for pair in range(3)]
+        config = (pairs.count(0b11), pairs.count(0b01) + pairs.count(0b10), pairs.count(0))
+        configs[config] = configs.get(config, Fraction(0)) + weight
+        counts[evens] = counts.get(evens, Fraction(0)) + weight
+    return configs, counts
 
 
 def transitive_closure(matrix) -> list[list[bool]]:

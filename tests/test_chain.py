@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paritydie import (
     DieConfig,
@@ -12,6 +15,7 @@ from paritydie import (
     is_ergodic,
     long_run_share,
 )
+from paritydie.chain import _eliminate
 
 from oracles import mutual_reachability_classes, transitive_closure
 
@@ -197,3 +201,35 @@ def test_chain_report_payload():
         sum(Fraction(n, d) for n, d in row) for row in report["matrix"]
     ]
     assert all(s == 1 for s in row_sums)
+
+
+def _determinant(matrix) -> int:
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=n, max_size=n),
+        )
+    )
+)
+def test_integer_elimination_solves_exactly(system):
+    matrix, rhs = system
+    try:
+        solution, det = _eliminate(matrix, rhs)
+    except ArithmeticError:
+        assert _determinant(matrix) == 0
+        return
+    assert abs(det) == abs(_determinant(matrix)) != 0
+    product = [[sum(a * solution[k][j] for k, a in enumerate(row)) for j in range(2)] for row in matrix]
+    assert product == [[det * b for b in row] for row in rhs]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import paritydie
 from paritydie import MutationRule, Parity, path_distribution, scenario, simulate_path
 from paritydie.cli import (
     EXIT_DATA,
@@ -225,3 +230,20 @@ def test_exit_codes(tmp_path, capsys):
 def test_help_exits_cleanly(capsys):
     assert invoke(capsys, "--help")[0] == EXIT_OK
     assert invoke(capsys, "enumerate", "--help")[0] == EXIT_OK
+
+
+def test_closed_pipe_stops_quietly():
+    src = Path(paritydie.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "paritydie", "simulate", "--tosses", "40", "--runs", "100000", "--emit"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert len(first.strip()) == 40
+    assert process.returncode == EXIT_OK
+    assert err == b""

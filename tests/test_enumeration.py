@@ -13,7 +13,11 @@ from paritydie import (
     path_distribution,
 )
 
-from oracles import brute_force_path_distribution
+from oracles import (
+    brute_force_path_distribution,
+    labelled_path_distribution,
+    labelled_step_distributions,
+)
 
 COPY = MutationRule.PARITY_COPY
 INCREMENT = MutationRule.INCREMENT
@@ -145,3 +149,15 @@ def test_jsonable_path_distribution():
     assert sequences == sorted(sequences)
     entry = next(e for e in payload["entries"] if e["sequence"] == "EE")
     assert entry == {"sequence": "EE", "numerator": 1, "denominator": 3, "decimal": 1 / 3}
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+def test_path_distribution_matches_labelled_die_oracle(rule):
+    assert path_distribution(rule, 8).entries == labelled_path_distribution(rule, 8)
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+def test_step_distributions_match_labelled_die_oracle(rule):
+    configs, counts = labelled_step_distributions(rule, 30)
+    assert config_distribution(rule, 30, max_depth=30).entries == configs
+    assert imbalance_distribution(rule, 30, max_depth=30) == counts

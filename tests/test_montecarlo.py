@@ -13,14 +13,18 @@ import pytest
 from paritydie import (
     MutationRule,
     absorption_frequencies,
+    all_configs,
     batch,
     derive_seed,
+    is_frozen,
     max_multinomial_deviation,
     path_chi_square,
     path_distribution,
+    roll_events,
     simulate_path,
     transitions,
 )
+from paritydie.montecarlo import _sampler_tables
 
 COPY = MutationRule.PARITY_COPY
 NONE = MutationRule.NO_MUTATION
@@ -195,3 +199,19 @@ def test_batch_summary_jsonable():
     assert sum(payload["even_counts"].values()) == 50
     assert sum(payload["sequences"].values()) == 50
     assert sum(payload["final_configs"].values()) == 50
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+def test_sampler_thresholds_are_floats_of_exact_partial_sums(rule):
+    tables = _sampler_tables(rule)
+    for config in all_configs():
+        ee, eo, oo = config
+        running, expected = Fraction(0), []
+        for probability in (Fraction(2 * ee, 6), Fraction(eo, 6), Fraction(eo, 6), Fraction(2 * oo, 6)):
+            if probability:
+                running += probability
+                expected.append(float(running))
+        thresholds, results, frozen = tables[config]
+        assert thresholds == tuple(expected)
+        assert results == tuple((r.outcome, r.state) for r in roll_events(config, rule))
+        assert frozen == is_frozen(config, rule)
