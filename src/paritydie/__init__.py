@@ -60,6 +60,7 @@ from .montecarlo import (
 from .stats import (
     PrefixRecord,
     RunEvent,
+    RunThresholdError,
     SequentialReport,
     TestReport,
     TossSequence,
@@ -96,6 +97,7 @@ __all__ = [
     "PrefixRecord",
     "RollResult",
     "RunEvent",
+    "RunThresholdError",
     "SequentialReport",
     "SimulationRun",
     "TestReport",

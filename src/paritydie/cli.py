@@ -23,7 +23,7 @@ from .core import MutationRule, Parity
 from .enumeration import DepthRangeError, path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
 from .serialize import fraction_fields, fraction_pair
-from .stats import scenario, sequential_report, fairness_report
+from .stats import RunThresholdError, fairness_report, scenario, sequential_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,10 +90,9 @@ def format_sequence(tosses: Sequence[Parity]) -> str:
 
 def _fraction_flag(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a probability: {text!r}") from None
-    return value
 
 
 def _rule_flag(text: str) -> MutationRule:
@@ -112,7 +111,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    # Exact tails of long streams hold integers past the 4300-digit str() limit
+    # that Python 3.10.7+ sets by default; lift it while printing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload, indent=2))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:
@@ -296,15 +304,11 @@ def _cmd_test(args) -> int:
     if not tosses:
         print("error: the input contains no tosses", file=sys.stderr)
         return EXIT_DATA
-    report = fairness_report(tosses, p0=args.p0, alpha=args.alpha)
+    # CSV prints only the sequential records, so it skips the exact tail
+    report = fairness_report(tosses, args.p0, args.alpha, exact=args.format == "json")
     sequential = sequential_report(
-        tosses,
-        p0=args.p0,
-        alpha=args.alpha,
-        t_min=args.t_min,
-        run_threshold=args.run_threshold,
-        two_sided=not args.one_sided,
-        bonferroni=args.bonferroni,
+        tosses, args.p0, args.alpha, args.t_min, args.run_threshold,
+        two_sided=not args.one_sided, bonferroni=args.bonferroni,
     )
     if args.format == "csv":
         _print_csv(
@@ -496,7 +500,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DepthRangeError as exc:
+    except (DepthRangeError, RunThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     except (ValueError, ArithmeticError) as exc:

@@ -1,8 +1,9 @@
 """Binomial test arithmetic, run probabilities, and order-sensitive testing.
 
-Point statistics (moments, z-scores, normal CDF) are floating point; tail
-and run probabilities are exact rationals.  The sequential report replays a
-toss stream prefix by prefix, which is where order starts to matter: streams
+Point statistics (moments, z-scores, ``statistics.NormalDist``) are floating
+point; tail and run probabilities are exact rationals, each tail one integer
+numerator over b**n for p = a/b.  The sequential report replays a toss
+stream prefix by prefix, which is where order starts to matter: streams
 with identical totals can part ways long before the final count is in.
 """
 
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, erfc, sqrt
+from math import comb, floor, log, sqrt
+from statistics import NormalDist
 from typing import Sequence
 
 from .core import Parity
@@ -20,6 +22,11 @@ TossSequence = list[Parity]
 
 HALF = Fraction(1, 2)
 DEFAULT_RUN_LEVEL = Fraction(1, 1000)
+MAX_RUN_POWER_BITS = 1 << 20
+
+
+class RunThresholdError(ValueError):
+    """The null makes runs so likely that the default run threshold is out of reach."""
 
 
 def binomial_moments(n: int, p: float | Fraction) -> tuple[float, float]:
@@ -43,29 +50,23 @@ def z_score(even_count: int, n: int, p0: float | Fraction) -> float:
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function.
-
-    Phi(z) = erfc(-z / sqrt(2)) / 2; absolute error is far below 1e-7.
-    """
-    return 0.5 * erfc(-z / sqrt(2))
+    """Standard normal CDF, Phi(z) = erfc(-z / sqrt(2)) / 2."""
+    return NormalDist().cdf(z)
 
 
 def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF by bisection (the CDF is strictly monotone)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile argument must lie strictly in (0, 1), got {q}")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Inverse standard normal CDF (Wichura's AS241); q must lie in (0, 1)."""
+    return NormalDist().inv_cdf(q)
 
 
 def exact_binomial_tail(n: int, k: int, p: float | Fraction) -> Fraction:
-    """P(X >= k) for X ~ Binomial(n, p), by direct summation, exactly.
+    """P(X >= k) for X ~ Binomial(n, p), exactly.
+
+    With p = a/b and c = b - a, term j is C(n, j) a**j c**(n-j) / b**n.  The
+    shorter side, j in [k, n] or j in [0, k-1], is summed as one integer by
+    Horner's rule in c, carrying C(n, j) a**(j-lo) from term to term, then
+    scaled by a**lo c**(n-hi); the lower side is taken from b**n.  The
+    result is the same reduced rational as summing the terms as Fractions.
 
     Note: a float ``p`` is converted to the rational it exactly represents;
     pass a Fraction for round decimal nulls like 1/10.
@@ -75,11 +76,17 @@ def exact_binomial_tail(n: int, k: int, p: float | Fraction) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    q = 1 - p
-    return sum(
-        (comb(n, j) * p**j * q ** (n - j) for j in range(k, n + 1)),
-        Fraction(0),
-    )
+    a, b = p.numerator, p.denominator
+    c = b - a
+    upper = n - k < k
+    lo, hi = (k, n) if upper else (0, k - 1)
+    numerator, term = 0, comb(n, lo)  # term: C(n, j) * a**(j - lo)
+    for j in range(lo, hi + 1):
+        numerator = numerator * c + term
+        term = term * (n - j) * a // (j + 1)
+    numerator *= a**lo * c ** (n - hi)
+    total = b**n
+    return Fraction(numerator if upper else total - numerator, total)
 
 
 def run_probability(length: int, p: float | Fraction) -> Fraction:
@@ -92,12 +99,32 @@ def run_probability(length: int, p: float | Fraction) -> Fraction:
 def default_run_threshold(
     p0: float | Fraction, level: Fraction = DEFAULT_RUN_LEVEL
 ) -> int:
-    """Shortest run length whose chance under the null falls below ``level``."""
-    p0 = Fraction(p0)
+    """Shortest run length L whose chance p0**L under the null falls below ``level``.
+
+    A float estimate of L is settled exactly by integer comparisons of
+    a**L * level.denominator with b**L * level.numerator, for p0 = a/b.
+    Raises RunThresholdError when L would need powers above
+    MAX_RUN_POWER_BITS bits, which take seconds to build; pass an explicit
+    run threshold then.
+    """
+    p0, level = Fraction(p0), Fraction(level)
     if not 0 < p0 < 1:
         raise ValueError(f"null probability must lie strictly in (0, 1), got {p0}")
-    length = 1
-    while p0**length >= level:
+    a, b = p0.numerator, p0.denominator
+    log_p0 = log(a) - log(b)
+    limit = MAX_RUN_POWER_BITS // b.bit_length()
+    estimate = log(level) / log_p0 if log_p0 else limit
+    if estimate >= limit:
+        message = f"the default run threshold for p0 = {p0} exceeds {limit} tosses"
+        raise RunThresholdError(message + "; set one with --run-threshold")
+
+    def rare(length: int) -> bool:
+        return a**length * level.denominator < b**length * level.numerator
+
+    length = max(1, floor(estimate))
+    while length > 1 and rare(length - 1):
+        length -= 1
+    while not rare(length):
         length += 1
     return length
 
@@ -139,19 +166,11 @@ class TestReport:
     reject: bool
 
     def to_jsonable(self) -> dict:
+        exact = self.p_value_exact
         return {
-            "n": self.n,
-            "even_count": self.even_count,
+            **vars(self),
             "p0": fraction_fields(self.p0),
-            "alpha": self.alpha,
-            "z": self.z,
-            "p_value_one_sided": self.p_value_one_sided,
-            "p_value_exact": (
-                fraction_fields(self.p_value_exact)
-                if self.p_value_exact is not None
-                else None
-            ),
-            "reject": self.reject,
+            "p_value_exact": fraction_fields(exact) if exact is not None else None,
         }
 
 
@@ -174,16 +193,10 @@ def fairness_report(
     n = len(sequence)
     evens = sum(p is Parity.EVEN for p in sequence)
     z = z_score(evens, n, p0)
-    return TestReport(
-        n=n,
-        even_count=evens,
-        p0=p0,
-        alpha=alpha,
-        z=z,
-        p_value_one_sided=1.0 - normal_cdf(z),
-        p_value_exact=exact_binomial_tail(n, evens, p0) if exact else None,
-        reject=abs(z) >= normal_quantile(1 - alpha / 2),
-    )
+    tail = exact_binomial_tail(n, evens, p0) if exact else None
+    # the upper critical value comes from the lower tail: 1 - alpha/2 may round to 1
+    reject = abs(z) >= -normal_quantile(alpha / 2)
+    return TestReport(n, evens, p0, alpha, z, 1.0 - normal_cdf(z), tail, reject)
 
 
 @dataclass(frozen=True)
@@ -236,20 +249,8 @@ class SequentialReport:
             "two_sided": self.two_sided,
             "bonferroni": self.bonferroni,
             "first_rejection": self.first_rejection,
-            "run_events": [
-                {"start": e.start, "length": e.length, "parity": e.parity.char}
-                for e in self.run_events
-            ],
-            "records": [
-                {
-                    "t": r.t,
-                    "even_count": r.even_count,
-                    "z": r.z,
-                    "z_flag": r.z_flag,
-                    "run_flag": r.run_flag,
-                }
-                for r in self.records
-            ],
+            "run_events": [dict(vars(e), parity=e.parity.char) for e in self.run_events],
+            "records": [dict(vars(r)) for r in self.records],
         }
 
 
@@ -284,7 +285,7 @@ def sequential_report(
 
     tests = max(len(sequence) - t_min + 1, 1)
     level = alpha / tests if bonferroni else alpha
-    critical = normal_quantile(1 - level / 2) if two_sided else normal_quantile(1 - level)
+    critical = -normal_quantile(level / 2 if two_sided else level)
 
     records = []
     run_events = []
@@ -315,13 +316,6 @@ def sequential_report(
         run_events.append(RunEvent(run_start, run_length, previous))
 
     return SequentialReport(
-        p0=p0,
-        alpha=alpha,
-        t_min=t_min,
-        run_threshold=run_threshold,
-        two_sided=two_sided,
-        bonferroni=bonferroni,
-        records=tuple(records),
-        run_events=tuple(run_events),
-        first_rejection=first_rejection,
+        p0, alpha, t_min, run_threshold, two_sided, bonferroni,
+        tuple(records), tuple(run_events), first_rejection,
     )

@@ -7,7 +7,7 @@ reachability oracle is a boolean transitive closure.
 
 from fractions import Fraction
 from itertools import product
-from math import sqrt
+from math import comb, sqrt
 
 from paritydie import MutationRule
 
@@ -128,8 +128,6 @@ def mutual_reachability_classes(matrix) -> set[frozenset[int]]:
 
 def binomial_sd(n: int, p: Fraction) -> float:
     """Standard deviation from the full exact binomial pmf."""
-    from math import comb
-
     mean = Fraction(0)
     second = Fraction(0)
     for k in range(n + 1):
@@ -137,3 +135,33 @@ def binomial_sd(n: int, p: Fraction) -> float:
         mean += k * pmf
         second += k * k * pmf
     return sqrt(float(second - mean * mean))
+
+
+def fraction_binomial_tail(n: int, k: int, p) -> Fraction:
+    """P(X >= k) for X ~ Binomial(n, p), one Fraction term at a time."""
+    p = Fraction(p)
+    q = 1 - p
+    return sum((comb(n, j) * p**j * q ** (n - j) for j in range(k, n + 1)), Fraction(0))
+
+
+def integer_binomial_lower_tail(n: int, k: int, p: Fraction) -> Fraction:
+    """P(X <= k - 1) for 0 < p < 1, summing C(n, j) a**j c**(n-j) upward from j = 0.
+
+    Each term is the last one times (n - j) a / ((j + 1) c), for p = a/b and
+    c = b - a; the division is exact because every term is an integer.
+    """
+    a, b = p.numerator, p.denominator
+    c = b - a
+    total, term = 0, c**n
+    for j in range(k):
+        total += term
+        term = term * (n - j) * a // ((j + 1) * c)
+    return Fraction(total, b**n)
+
+
+def run_threshold_by_powers(p0: Fraction, level: Fraction) -> int:
+    """Shortest run length L with p0**L < level, trying L = 1, 2, ... in turn."""
+    length = 1
+    while p0**length >= level:
+        length += 1
+    return length

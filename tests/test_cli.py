@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import paritydie
-from paritydie import MutationRule, Parity, path_distribution, scenario, simulate_path
+from paritydie import (
+    MutationRule,
+    Parity,
+    exact_binomial_tail,
+    path_distribution,
+    scenario,
+    simulate_path,
+)
 from paritydie.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -204,6 +211,63 @@ def test_test_subcommand_flags(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["sequential"]["first_rejection"] is None
+
+
+def test_test_subcommand_tiny_alpha(tmp_path, capsys):
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("E" * 58 + "O" * 42)
+    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--alpha", "1e-17")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["report"]["reject"] is False
+    assert payload["sequential"]["first_rejection"] == 10  # the 58-toss run
+
+
+def test_test_subcommand_p0_near_one(tmp_path, capsys):
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("E" * 30)
+    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--p0", "9999/10000")
+    assert code == EXIT_OK
+    assert json.loads(out)["sequential"]["run_threshold"] == 69075
+    code, _, err = invoke(capsys, "test", "--input", str(stream), "--p0", "99999/100000")
+    assert code == EXIT_RANGE
+    assert "--run-threshold" in err
+    code, _, _ = invoke(
+        capsys, "test", "--input", str(stream), "--p0", "99999/100000", "--run-threshold", "5"
+    )
+    assert code == EXIT_OK
+
+
+def test_test_subcommand_twenty_thousand_tosses(tmp_path, capsys):
+    n, evens, p0 = 20_000, 10_100, Fraction(1, 2)
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EO" * (n - evens) + "E" * (2 * evens - n))
+    code, out, _ = invoke(capsys, "test", "--input", str(stream))
+    assert code == EXIT_OK
+    # the exact tail's 6,000-digit integers are past the default str() limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)["report"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (report["n"], report["even_count"]) == (n, evens)
+    exact = report["p_value_exact"]
+    tail = Fraction(exact["numerator"], exact["denominator"])
+    assert tail == 1 - exact_binomial_tail(n, n - evens + 1, 1 - p0)
+
+
+def test_test_subcommand_csv_skips_the_exact_tail(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the CSV report prints no exact tail")
+
+    monkeypatch.setattr("paritydie.stats.exact_binomial_tail", refuse)
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("E" * 20)
+    assert invoke(capsys, "test", "--input", str(stream), "--format", "csv")[0] == EXIT_OK
+    for p0 in ("0", "3/2"):
+        code = invoke(capsys, "test", "--input", str(stream), "--format", "csv", "--p0", p0)[0]
+        assert code == EXIT_RANGE
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paritydie import (
     Parity,
+    RunThresholdError,
     binomial_moments,
     default_run_threshold,
     exact_binomial_tail,
@@ -19,7 +20,12 @@ from paritydie import (
     z_score,
 )
 
-from oracles import binomial_sd
+from oracles import (
+    binomial_sd,
+    fraction_binomial_tail,
+    integer_binomial_lower_tail,
+    run_threshold_by_powers,
+)
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -117,6 +123,38 @@ def test_exact_binomial_tail_properties():
         exact_binomial_tail(10, 5, 2)
 
 
+TAIL_PROBABILITIES = [
+    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(7, 9), 0.3
+]
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=200))
+    k = draw(st.integers(min_value=0, max_value=n))
+    return n, k, draw(st.sampled_from(TAIL_PROBABILITIES))
+
+
+@given(tail_cases())
+@example((0, 0, Fraction(1, 2)))
+@example((200, 0, 0.3))
+@example((200, 200, Fraction(7, 9)))
+@example((200, 100, Fraction(1)))
+@example((200, 101, Fraction(0)))
+def test_exact_binomial_tail_matches_fraction_sum(case):
+    assert exact_binomial_tail(*case) == fraction_binomial_tail(*case)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 9)])
+def test_exact_binomial_tail_identities_at_twenty_thousand(p):
+    n = 20_000
+    assert exact_binomial_tail(n, 0, p) == 1
+    for k in (n // 3, n // 2 + 100, n):
+        tail = exact_binomial_tail(n, k, p)
+        assert tail + integer_binomial_lower_tail(n, k, p) == 1
+        assert tail == 1 - exact_binomial_tail(n, n - k + 1, 1 - p)
+
+
 def test_run_probability():
     assert run_probability(7, Fraction(1, 2)) == Fraction(1, 128)
     assert run_probability(10, Fraction(1, 2)) == Fraction(1, 1024)
@@ -133,6 +171,21 @@ def test_default_run_threshold():
     assert default_run_threshold(Fraction(2, 3)) == 18
     with pytest.raises(ValueError):
         default_run_threshold(Fraction(1))
+
+
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(99, 100)))
+@example(Fraction(1, 10))
+@example(Fraction(99, 100))
+@example(Fraction(1, 2**70))
+def test_default_run_threshold_matches_power_loop(p0):
+    assert default_run_threshold(p0) == run_threshold_by_powers(p0, Fraction(1, 1000))
+
+
+def test_default_run_threshold_near_one():
+    assert default_run_threshold(Fraction(9999, 10000)) == 69075
+    for p0 in (Fraction(99999, 100000), Fraction(10**30 - 1, 10**30)):
+        with pytest.raises(RunThresholdError, match="--run-threshold"):
+            default_run_threshold(p0)
 
 
 def test_proportion_after():
