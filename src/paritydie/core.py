@@ -29,9 +29,9 @@ class Parity(Enum):
     EVEN = "E"
     ODD = "O"
 
-    @property
-    def char(self) -> str:
-        return self.value
+    def __init__(self, char: str) -> None:
+        # a plain attribute: samplers read it once per toss
+        self.char = char
 
     def flip(self) -> "Parity":
         return Parity.ODD if self is Parity.EVEN else Parity.EVEN

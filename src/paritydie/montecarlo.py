@@ -2,23 +2,25 @@
 
 Determinism contract: run ``i`` of a batch draws its tosses from a fresh
 Mersenne Twister generator seeded with ``derive_seed(master_seed, i)``, so
-aggregate results depend only on (rule, tosses, runs, master_seed), never on
-execution order or the number of workers.
+aggregate results depend only on (rule, tosses, runs, master_seed).
 
 Sampling converts the face counts of ``core.event_table`` to cumulative
 double thresholds in the fixed event order (EE roll, EO even face, EO odd face,
 OO roll); one uniform draw per toss picks the first bracket containing it.
+One stepping function, ``_walk``, does this for ``simulate_path``, ``batch``
+and ``absorption_frequencies``; runs execute serially (``batch`` keeps its
+``workers`` keyword for compatibility only).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import sqrt
+from operator import itemgetter
 
 from .core import (
     FACE_COUNT,
@@ -35,6 +37,7 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 SEQUENCE_TRACKING_CAP = 12
+_START = initial_config()
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -138,52 +141,43 @@ class BatchSummary:
         }
 
 
-def simulate_path(rule: MutationRule, tosses: int, seed: int) -> SimulationRun:
-    """Sample a toss path; deterministic given (rule, tosses, seed)."""
-    if tosses < 0:
-        raise ValueError(f"toss count must be nonnegative, got {tosses}")
-    tables = _sampler_tables(rule)
-    rng = random.Random(seed)
-    config = initial_config()
-    outcomes: list[Parity] = []
-    trajectory = [config]
-    for _ in range(tosses):
-        thresholds, results, _ = tables[config]
-        draw = rng.random()
-        k = 0
-        while draw >= thresholds[k]:
-            k += 1
-        outcome, config = results[k]
-        outcomes.append(outcome)
-        trajectory.append(config)
-    return SimulationRun(
-        rule=rule, seed=seed, tosses=tuple(outcomes), trajectory=tuple(trajectory)
-    )
+def _walk(tables, seed, limit, until_frozen=False):
+    """Step one run of up to ``limit`` tosses from a generator seeded with ``seed``.
 
-
-def _run_tallies(rule, tosses, seed, track):
-    """(even count, final config, frozen flag, sequence) of one run.
-
-    Consumes draws exactly like ``simulate_path``.
+    Each toss takes one uniform draw and scans the thresholds of the current
+    configuration for its bracket.  Returns the (outcome, next config) pair of
+    every toss and the final configuration; ``until_frozen`` stops before
+    drawing once the configuration is frozen.
     """
-    tables = _sampler_tables(rule)
     uniform = random.Random(seed).random
-    config = initial_config()
-    evens = 0
-    chars: list[str] | None = [] if track else None
-    for _ in range(tosses):
-        thresholds, results, _ = tables[config]
+    config = _START
+    path = []
+    step = path.append
+    for _ in range(limit):
+        thresholds, results, frozen = tables[config]
+        if frozen and until_frozen:
+            break
         draw = uniform()
         k = 0
         while draw >= thresholds[k]:
             k += 1
-        outcome, config = results[k]
-        if outcome is Parity.EVEN:
-            evens += 1
-        if chars is not None:
-            chars.append(outcome.char)
-    frozen = tables[config][2]
-    return evens, config, frozen, "".join(chars) if chars is not None else None
+        result = results[k]
+        step(result)
+        config = result[1]
+    return path, config
+
+
+def simulate_path(rule: MutationRule, tosses: int, seed: int) -> SimulationRun:
+    """Sample a toss path; deterministic given (rule, tosses, seed)."""
+    if tosses < 0:
+        raise ValueError(f"toss count must be nonnegative, got {tosses}")
+    path, _ = _walk(_sampler_tables(rule), seed, tosses)
+    return SimulationRun(
+        rule=rule,
+        seed=seed,
+        tosses=tuple(map(itemgetter(0), path)),
+        trajectory=(_START, *map(itemgetter(1), path)),
+    )
 
 
 def batch(
@@ -194,11 +188,13 @@ def batch(
     workers: int = 1,
     track_sequences: bool | None = None,
 ) -> BatchSummary:
-    """Aggregate ``runs`` independent simulation runs.
+    """Aggregate ``runs`` independent simulation runs, one after another.
 
     ``track_sequences=None`` tracks full paths automatically when ``tosses``
-    is at most ``SEQUENCE_TRACKING_CAP``.  Aggregation is pure counting, so
-    the summary is identical for any ``workers`` value.
+    is at most ``SEQUENCE_TRACKING_CAP``.  ``workers`` is kept for
+    compatibility and no longer changes how runs execute: every run is
+    stepped serially, and the summary depends only on (rule, tosses, runs,
+    master_seed).
     """
     if runs < 1:
         raise ValueError(f"run count must be at least 1, got {runs}")
@@ -208,51 +204,22 @@ def batch(
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if track_sequences is None:
         track_sequences = tosses <= SEQUENCE_TRACKING_CAP
-
-    def tally_range(indices: range) -> tuple[Counter, Counter, int, Counter | None]:
-        even_counts: Counter = Counter()
-        final_configs: Counter = Counter()
-        sequences: Counter | None = Counter() if track_sequences else None
-        frozen = 0
-        for i in indices:
-            evens, config, is_frozen_end, sequence = _run_tallies(
-                rule, tosses, derive_seed(master_seed, i), track_sequences
-            )
-            even_counts[evens] += 1
-            final_configs[config] += 1
-            frozen += is_frozen_end
-            if sequences is not None:
-                sequences[sequence] += 1
-        return even_counts, final_configs, frozen, sequences
-
-    if workers == 1:
-        parts = [tally_range(range(runs))]
-    else:
-        chunk = -(-runs // workers)
-        ranges = [range(lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(tally_range, ranges))
-
+    tables = _sampler_tables(rule)
     even_counts: Counter = Counter()
     final_configs: Counter = Counter()
-    sequences: Counter | None = Counter() if track_sequences else None
+    sequences: Counter = Counter()
     frozen_runs = 0
-    for part_evens, part_finals, part_frozen, part_sequences in parts:
-        even_counts += part_evens
-        final_configs += part_finals
-        frozen_runs += part_frozen
-        if sequences is not None and part_sequences is not None:
-            sequences += part_sequences
-
+    for i in range(runs):
+        path, config = _walk(tables, derive_seed(master_seed, i), tosses)
+        outcomes = [outcome for outcome, _ in path]
+        even_counts[outcomes.count(Parity.EVEN)] += 1
+        final_configs[config] += 1
+        frozen_runs += tables[config][2]
+        if track_sequences:
+            sequences["".join([outcome.char for outcome in outcomes])] += 1
     return BatchSummary(
-        rule=rule,
-        tosses=tosses,
-        runs=runs,
-        master_seed=master_seed,
-        even_counts=dict(even_counts),
-        final_configs=dict(final_configs),
-        frozen_runs=frozen_runs,
-        sequences=dict(sequences) if sequences is not None else None,
+        rule, tosses, runs, master_seed, dict(even_counts), dict(final_configs), frozen_runs,
+        dict(sequences) if track_sequences else None,
     )
 
 
@@ -280,7 +247,8 @@ def absorption_frequencies(
 ) -> AbsorptionSample:
     """Simulate each run until the configuration freezes, tallying endpoints.
 
-    Runs still unfrozen after ``max_steps`` tosses are counted as unabsorbed
+    A run that freezes within ``max_steps`` tosses, on the last one included,
+    counts as absorbed; runs still unfrozen after them count as unabsorbed
     (always the case for rules with no frozen configuration).
     """
     if runs < 1:
@@ -289,34 +257,14 @@ def absorption_frequencies(
     counts: Counter = Counter()
     unabsorbed = 0
     total_steps = 0
-    start = initial_config()
     for i in range(runs):
-        uniform = random.Random(derive_seed(master_seed, i)).random
-        config = start
-        steps = 0
-        while not tables[config][2]:
-            if steps >= max_steps:
-                break
-            thresholds, results, _ = tables[config]
-            draw = uniform()
-            k = 0
-            while draw >= thresholds[k]:
-                k += 1
-            _, config = results[k]
-            steps += 1
+        path, config = _walk(tables, derive_seed(master_seed, i), max_steps, True)
         if tables[config][2]:
             counts[config] += 1
-            total_steps += steps
+            total_steps += len(path)
         else:
             unabsorbed += 1
-    return AbsorptionSample(
-        rule=rule,
-        runs=runs,
-        master_seed=master_seed,
-        counts=dict(counts),
-        unabsorbed=unabsorbed,
-        total_steps=total_steps,
-    )
+    return AbsorptionSample(rule, runs, master_seed, dict(counts), unabsorbed, total_steps)
 
 
 def path_chi_square(summary: BatchSummary, exact: PathDistribution) -> tuple[float, int]:

@@ -59,6 +59,13 @@ def normal_quantile(q: float) -> float:
     return NormalDist().inv_cdf(q)
 
 
+def _critical_value(tail: float, alpha: float) -> float:
+    """z with upper tail ``tail``, taken from the lower tail (1 - tail may round to 1)."""
+    if not tail:
+        raise ValueError(f"alpha {alpha} is too small: the tail level it sets underflows to 0")
+    return -normal_quantile(tail)
+
+
 def exact_binomial_tail(n: int, k: int, p: float | Fraction) -> Fraction:
     """P(X >= k) for X ~ Binomial(n, p), exactly.
 
@@ -194,8 +201,7 @@ def fairness_report(
     evens = sum(p is Parity.EVEN for p in sequence)
     z = z_score(evens, n, p0)
     tail = exact_binomial_tail(n, evens, p0) if exact else None
-    # the upper critical value comes from the lower tail: 1 - alpha/2 may round to 1
-    reject = abs(z) >= -normal_quantile(alpha / 2)
+    reject = abs(z) >= _critical_value(alpha / 2, alpha)
     return TestReport(n, evens, p0, alpha, z, 1.0 - normal_cdf(z), tail, reject)
 
 
@@ -285,7 +291,7 @@ def sequential_report(
 
     tests = max(len(sequence) - t_min + 1, 1)
     level = alpha / tests if bonferroni else alpha
-    critical = -normal_quantile(level / 2 if two_sided else level)
+    critical = _critical_value(level / 2 if two_sided else level, alpha)
 
     records = []
     run_events = []

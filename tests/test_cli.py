@@ -223,6 +223,17 @@ def test_test_subcommand_tiny_alpha(tmp_path, capsys):
     assert payload["sequential"]["first_rejection"] == 10  # the 58-toss run
 
 
+@pytest.mark.parametrize("flags", [["--alpha", "5e-324"], ["--alpha", "1e-322", "--bonferroni"]])
+def test_test_subcommand_alpha_that_underflows(tmp_path, capsys, flags):
+    # the tail level (alpha/2, or alpha/2 over the prefixes tested) rounds to 0
+    stream = tmp_path / "scenario1.txt"
+    assert run(["scenario", "--id", "1", "--emit"]) == EXIT_OK
+    stream.write_text(capsys.readouterr().out)
+    code, _, err = invoke(capsys, "test", "--input", str(stream), *flags)
+    assert code == EXIT_RANGE
+    assert "alpha" in err
+
+
 def test_test_subcommand_p0_near_one(tmp_path, capsys):
     stream = tmp_path / "tosses.txt"
     stream.write_text("E" * 30)

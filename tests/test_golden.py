@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from paritydie import MutationRule, absorption_frequencies
 from paritydie.cli import EXIT_OK, run
 
 COMMANDS = {
@@ -79,3 +80,22 @@ def test_every_command_and_rule_has_a_digest():
 def test_stdout_matches_golden_digest(capsys, key):
     rule, name = key.split()
     assert stdout_digest(capsys, COMMANDS[name] + ["--rule", rule]) == GOLDEN[key]
+
+
+# absorption_frequencies tallies at seed 7, recorded from the sampler that
+# still stepped each absorption run in its own loop: (rule, runs, max_steps)
+# -> (counts, unabsorbed, total_steps).
+ABSORPTION_GOLDEN = {
+    ("copy", 2000, 10_000): (
+        {(0, 0, 3): 234, (1, 0, 2): 754, (2, 0, 1): 741, (3, 0, 0): 271}, 0, 10967
+    ),
+    ("increment", 500, 10): ({}, 500, 0),
+    ("none", 500, 10): ({(0, 3, 0): 500}, 0, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ABSORPTION_GOLDEN))
+def test_absorption_frequencies_match_golden_tallies(key):
+    rule, runs, max_steps = key
+    sample = absorption_frequencies(MutationRule.from_name(rule), runs, 7, max_steps=max_steps)
+    assert (sample.counts, sample.unabsorbed, sample.total_steps) == ABSORPTION_GOLDEN[key]

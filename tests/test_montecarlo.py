@@ -215,3 +215,26 @@ def test_sampler_thresholds_are_floats_of_exact_partial_sums(rule):
         assert thresholds == tuple(expected)
         assert results == tuple((r.outcome, r.state) for r in roll_events(config, rule))
         assert frozen == is_frozen(config, rule)
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+def test_absorption_matches_first_frozen_step_of_simulated_paths(rule):
+    # max_steps = 4 leaves some copy runs unabsorbed and freezes others on
+    # exactly the last allowed draw, which counts as absorbed
+    max_steps, seed, runs = 4, 7, 200
+    counts: dict = {}
+    unabsorbed = total_steps = last_draw = 0
+    for i in range(runs):
+        trajectory = simulate_path(rule, max_steps, derive_seed(seed, i)).trajectory
+        frozen_at = [step for step, config in enumerate(trajectory) if is_frozen(config, rule)]
+        if not frozen_at:
+            unabsorbed += 1
+            continue
+        step = frozen_at[0]
+        counts[trajectory[step]] = counts.get(trajectory[step], 0) + 1
+        total_steps += step
+        last_draw += step == max_steps
+    sample = absorption_frequencies(rule, runs, seed, max_steps=max_steps)
+    assert (sample.counts, sample.unabsorbed, sample.total_steps) == (counts, unabsorbed, total_steps)
+    if rule is COPY:
+        assert last_draw > 0 and unabsorbed > 0
