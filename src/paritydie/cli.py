@@ -2,8 +2,10 @@
 
 Output goes to stdout as JSON (default) or CSV (``--format csv``);
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage error, 2
-input-data error, 3 numeric-range error.  Given fixed seed flags, identical
-invocations produce byte-identical output.
+input-data error, 3 numeric-range error.  A toss stream that is not valid
+UTF-8, holds a symbol other than E/O, holds no tosses or cannot be read
+exits 2.  Given fixed seed flags, identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chain import chain_report
 from .core import MutationRule, Parity
-from .enumeration import DepthRangeError, path_distribution
+from .enumeration import path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
 from .serialize import fraction_fields, fraction_pair
-from .stats import RunThresholdError, fairness_report, scenario, sequential_report
+from .stats import fairness_report, scenario, sequential_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,7 +125,7 @@ def _print_json(payload: dict) -> None:
             sys.set_int_max_str_digits(limit)
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
+def _print_csv(header: list[str], rows: Iterable[list]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -135,36 +137,91 @@ def _fraction_row(value: Fraction) -> list:
     return [value.numerator, value.denominator, float(value)]
 
 
-def _cmd_table(args) -> int:
+def _states_cell(states) -> str:
+    return " ".join("".join(map(str, state)) for state in states)
+
+
+def _matrix_rows(report: dict):
+    states = ["".join(map(str, state)) for state in report["states"]]
+    return (
+        [states[i], states[j], numerator, denominator, numerator / denominator]
+        for i, row in enumerate(report["matrix"])
+        for j, (numerator, denominator) in enumerate(row)
+        if numerator
+    )
+
+
+# The chain report's CSV sections: header and row builder over the
+# ``chain_report`` payload.  ``--report full`` has no CSV form.
+_CHAIN_CSV = {
+    "verdict": (
+        ["ergodic", "aperiodic", "explanation"],
+        lambda report: [
+            [report["verdict"][key] for key in ("ergodic", "aperiodic", "explanation")]
+        ],
+    ),
+    "classes": (
+        ["class", "states", "closed", "absorbing"],
+        lambda report: (
+            [index, _states_cell(entry["states"]), entry["closed"], entry["absorbing"]]
+            for index, entry in enumerate(report["classes"])
+        ),
+    ),
+    "matrix": (["from", "to", "numerator", "denominator", "decimal"], _matrix_rows),
+    "absorption": (
+        [
+            "states",
+            "probability_numerator",
+            "probability_denominator",
+            "probability_decimal",
+            "expected_steps_decimal",
+            "share_numerator",
+            "share_denominator",
+            "share_decimal",
+        ],
+        lambda report: (
+            [
+                _states_cell(entry["states"]),
+                *entry["probability"].values(),
+                entry["expected_steps"]["decimal"] if entry["expected_steps"] else "",
+                *entry["even_share"].values(),
+            ]
+            for entry in report["absorption"]["entries"]
+        ),
+    ),
+}
+
+# Each handler returns its report in the form ``--format`` asks for: the JSON
+# payload, or the CSV header and rows.  ``run`` writes it.  A handler that
+# writes its own output (``--emit``) or refuses returns an exit code instead.
+
+
+def _cmd_table(args):
     enumerated = path_distribution(args.rule, 3).entries
     standard = path_distribution(MutationRule.NO_MUTATION, 3).entries
     published = PUBLISHED_NONSTANDARD_TABLE
     sequences = sorted(published)
     if args.format == "csv":
-        _print_csv(
+        return [
+            "sequence",
+            "standard_numerator",
+            "standard_denominator",
+            "enumerated_numerator",
+            "enumerated_denominator",
+            "enumerated_decimal",
+            "published_numerator",
+            "published_denominator",
+            "match",
+        ], (
             [
-                "sequence",
-                "standard_numerator",
-                "standard_denominator",
-                "enumerated_numerator",
-                "enumerated_denominator",
-                "enumerated_decimal",
-                "published_numerator",
-                "published_denominator",
-                "match",
-            ],
-            [
-                [
-                    sequence,
-                    *fraction_pair(standard[sequence]),
-                    *_fraction_row(enumerated[sequence]),
-                    *fraction_pair(published[sequence]),
-                    enumerated[sequence] == published[sequence],
-                ]
-                for sequence in sequences
-            ],
+                sequence,
+                *fraction_pair(standard[sequence]),
+                *_fraction_row(enumerated[sequence]),
+                *fraction_pair(published[sequence]),
+                enumerated[sequence] == published[sequence],
+            ]
+            for sequence in sequences
         )
-        return EXIT_OK
     rows = [
         {
             "sequence": sequence,
@@ -175,105 +232,37 @@ def _cmd_table(args) -> int:
         }
         for sequence in sequences
     ]
-    _print_json(
-        {
-            "rule": args.rule.value,
-            "rows": rows,
-            "mismatches": [row["sequence"] for row in rows if not row["match"]],
-        }
-    )
-    return EXIT_OK
+    return {
+        "rule": args.rule.value,
+        "rows": rows,
+        "mismatches": [row["sequence"] for row in rows if not row["match"]],
+    }
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     distribution = path_distribution(args.rule, args.depth)
-    if args.format == "csv":
-        _print_csv(
-            ["sequence", "numerator", "denominator", "decimal"],
-            [
-                [sequence, *_fraction_row(probability)]
-                for sequence, probability in sorted(distribution.entries.items())
-            ],
-        )
-    else:
-        _print_json(distribution.to_jsonable())
-    return EXIT_OK
+    if args.format == "json":
+        return distribution.to_jsonable()
+    return ["sequence", "numerator", "denominator", "decimal"], (
+        [sequence, *_fraction_row(probability)]
+        for sequence, probability in sorted(distribution.entries.items())
+    )
 
 
-def _cmd_chain(args) -> int:
-    report = chain_report(args.rule)
+def _cmd_chain(args):
     section = args.report
+    if args.format == "csv" and section not in _CHAIN_CSV:
+        print(f"error: csv output requires --report {'|'.join(_CHAIN_CSV)}", file=sys.stderr)
+        return EXIT_USAGE
+    report = chain_report(args.rule)
     if args.format == "csv":
-        if section == "verdict":
-            verdict = report["verdict"]
-            _print_csv(
-                ["ergodic", "aperiodic", "explanation"],
-                [[verdict["ergodic"], verdict["aperiodic"], verdict["explanation"]]],
-            )
-        elif section == "classes":
-            _print_csv(
-                ["class", "states", "closed", "absorbing"],
-                [
-                    [
-                        index,
-                        " ".join("".join(map(str, s)) for s in entry["states"]),
-                        entry["closed"],
-                        entry["absorbing"],
-                    ]
-                    for index, entry in enumerate(report["classes"])
-                ],
-            )
-        elif section == "matrix":
-            states = ["".join(map(str, s)) for s in report["states"]]
-            rows = [
-                [states[i], states[j], numerator, denominator, numerator / denominator]
-                for i, row in enumerate(report["matrix"])
-                for j, (numerator, denominator) in enumerate(row)
-                if numerator
-            ]
-            _print_csv(["from", "to", "numerator", "denominator", "decimal"], rows)
-        elif section == "absorption":
-            rows = [
-                [
-                    " ".join("".join(map(str, s)) for s in entry["states"]),
-                    *entry["probability"].values(),
-                    entry["expected_steps"]["decimal"] if entry["expected_steps"] else "",
-                    *entry["even_share"].values(),
-                ]
-                for entry in report["absorption"]["entries"]
-            ]
-            _print_csv(
-                [
-                    "states",
-                    "probability_numerator",
-                    "probability_denominator",
-                    "probability_decimal",
-                    "expected_steps_decimal",
-                    "share_numerator",
-                    "share_denominator",
-                    "share_decimal",
-                ],
-                rows,
-            )
-        else:
-            print(
-                "error: csv output requires --report verdict|classes|matrix|absorption",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        return EXIT_OK
-    if section == "full":
-        _print_json(report)
-    elif section == "matrix":
-        _print_json(
-            {"rule": report["rule"], "states": report["states"], "matrix": report["matrix"]}
-        )
-    else:
-        _print_json({"rule": report["rule"], section: report[section]})
-    return EXIT_OK
+        header, rows = _CHAIN_CSV[section]
+        return header, rows(report)
+    keys = ("rule", "states", "matrix") if section == "matrix" else ("rule", section)
+    return report if section == "full" else {key: report[key] for key in keys}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     if args.emit:
         if args.runs < 1:
             raise ValueError(f"run count must be at least 1, got {args.runs}")
@@ -282,20 +271,14 @@ def _cmd_simulate(args) -> int:
             print(run.sequence())
         return EXIT_OK
     summary = batch(args.rule, args.tosses, args.runs, args.seed)
-    if args.format == "csv":
-        _print_csv(
-            ["even_count", "count", "frequency"],
-            [
-                [k, c, c / summary.runs]
-                for k, c in sorted(summary.even_counts.items())
-            ],
-        )
-    else:
-        _print_json(summary.to_jsonable())
-    return EXIT_OK
+    if args.format == "json":
+        return summary.to_jsonable()
+    return ["even_count", "count", "frequency"], (
+        [k, c, c / summary.runs] for k, c in sorted(summary.even_counts.items())
+    )
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args):
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -310,22 +293,15 @@ def _cmd_test(args) -> int:
         tosses, args.p0, args.alpha, args.t_min, args.run_threshold,
         two_sided=not args.one_sided, bonferroni=args.bonferroni,
     )
-    if args.format == "csv":
-        _print_csv(
-            ["t", "even_count", "z", "flag"],
-            [
-                [record.t, record.even_count, record.z, int(record.flagged)]
-                for record in sequential.records
-            ],
-        )
-    else:
-        _print_json(
-            {"report": report.to_jsonable(), "sequential": sequential.to_jsonable()}
-        )
-    return EXIT_OK
+    if args.format == "json":
+        return {"report": report.to_jsonable(), "sequential": sequential.to_jsonable()}
+    return ["t", "even_count", "z", "flag"], (
+        [record.t, record.even_count, record.z, int(record.flagged)]
+        for record in sequential.records
+    )
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args):
     tosses = scenario(args.id)
     text = format_sequence(tosses)
     if args.emit:
@@ -337,14 +313,7 @@ def _cmd_scenario(args) -> int:
         "even_count": sum(parity is Parity.EVEN for parity in tosses),
         "sequence": text,
     }
-    if args.format == "csv":
-        _print_csv(
-            ["id", "n", "even_count", "sequence"],
-            [[payload["id"], payload["n"], payload["even_count"], payload["sequence"]]],
-        )
-    else:
-        _print_json(payload)
-    return EXIT_OK
+    return payload if args.format == "json" else (list(payload), [list(payload.values())])
 
 
 def _add_rule(parser) -> None:
@@ -394,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(chain)
     chain.add_argument(
         "--report",
-        choices=("full", "verdict", "classes", "matrix", "absorption"),
+        choices=("full", *_CHAIN_CSV),
         default="full",
         help="which section to emit (default full)",
     )
@@ -479,30 +448,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
+    """Parse arguments, dispatch, write the handler's report, map failures to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.handler(args)
+        result = args.handler(args)
+        if isinstance(result, dict):
+            _print_json(result)
+        elif isinstance(result, tuple):
+            _print_csv(*result)
         sys.stdout.flush()
-        return code
+        return result if isinstance(result, int) else EXIT_OK
     except BrokenPipeError:
         # The reader went away (``paritydie ... | head``): stop quietly, and
         # point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except SequenceParseError as exc:
+    except (SequenceParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DepthRangeError, RunThresholdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -300,6 +302,120 @@ def test_exit_codes(tmp_path, capsys):
     assert invoke(capsys, "enumerate", "--depth", "99")[0] == EXIT_RANGE
     assert invoke(capsys, "simulate", "--tosses", "-1")[0] == EXIT_RANGE
     assert invoke(capsys, "simulate", "--runs", "0")[0] == EXIT_RANGE
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_undecodable_toss_stream_is_a_data_error(tmp_path, capsys, monkeypatch, via):
+    raw = b"EE\xffOO"
+    if via == "file":
+        stream = tmp_path / "tosses.txt"
+        stream.write_bytes(raw)
+        argv = ["test", "--input", str(stream)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        argv = ["test"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "can't decode byte 0xff" in err
+
+
+def _states(states):
+    return " ".join("".join(map(str, state)) for state in states)
+
+
+def _chain_matrix_rows(payload):
+    states = [_states([state]) for state in payload["states"]]
+    return [
+        [states[i], states[j], numerator, denominator, numerator / denominator]
+        for i, row in enumerate(payload["matrix"])
+        for j, (numerator, denominator) in enumerate(row)
+        if numerator
+    ]
+
+
+# command line -> the CSV rows its JSON payload implies, cell by cell
+_CSV_FROM_JSON = {
+    ("table",): lambda payload: [
+        [
+            row["sequence"],
+            row["standard"]["numerator"],
+            row["standard"]["denominator"],
+            *row["enumerated"].values(),
+            row["published"]["numerator"],
+            row["published"]["denominator"],
+            row["match"],
+        ]
+        for row in payload["rows"]
+    ],
+    ("enumerate", "--depth", "4"): lambda payload: [
+        list(entry.values()) for entry in payload["entries"]
+    ],
+    ("chain", "--report", "verdict"): lambda payload: [
+        [payload["verdict"][key] for key in ("ergodic", "aperiodic", "explanation")]
+    ],
+    ("chain", "--report", "classes"): lambda payload: [
+        [index, _states(entry["states"]), entry["closed"], entry["absorbing"]]
+        for index, entry in enumerate(payload["classes"])
+    ],
+    ("chain", "--report", "matrix"): _chain_matrix_rows,
+    ("chain", "--report", "absorption"): lambda payload: [
+        [
+            _states(entry["states"]),
+            *entry["probability"].values(),
+            entry["expected_steps"]["decimal"] if entry["expected_steps"] else None,
+            *entry["even_share"].values(),
+        ]
+        for entry in payload["absorption"]["entries"]
+    ],
+    ("simulate", "--tosses", "6", "--runs", "300", "--seed", "5"): lambda payload: [
+        [int(even), count, count / payload["runs"]]
+        for even, count in payload["even_counts"].items()
+    ],
+}
+_RULE_FREE = {
+    ("scenario", "--id", "3"): lambda payload: [list(payload.values())],
+    ("test",): lambda payload: [
+        [record["t"], record["even_count"], record["z"], int(record["z_flag"] or record["run_flag"])]
+        for record in payload["sequential"]["records"]
+    ],
+}
+
+
+_AGREEMENT_CASES = [
+    ([*command, "--rule", rule.value], json_to_rows)
+    for rule in MutationRule
+    for command, json_to_rows in _CSV_FROM_JSON.items()
+] + [(list(command), json_to_rows) for command, json_to_rows in _RULE_FREE.items()]
+
+
+@pytest.mark.parametrize(
+    "argv, json_to_rows", _AGREEMENT_CASES, ids=[" ".join(argv) for argv, _ in _AGREEMENT_CASES]
+)
+def test_json_and_csv_agree(capsys, monkeypatch, argv, json_to_rows):
+    outputs = {}
+    for output_format in ("json", "csv"):
+        stdin = io.StringIO(format_sequence(scenario(3)))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, outputs[output_format], _ = invoke(capsys, *argv, "--format", output_format)
+        assert code == EXIT_OK
+    header, *rows = csv.reader(io.StringIO(outputs["csv"]))
+    expected = [
+        ["" if value is None else str(value) for value in row]
+        for row in json_to_rows(json.loads(outputs["json"]))
+    ]
+    assert rows == expected
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_chain_csv_full_names_exactly_the_csv_sections(capsys):
+    code, out, err = invoke(capsys, "chain", "--format", "csv", "--report", "full")
+    assert code == EXIT_USAGE
+    assert out == ""
+    sections = err.strip().rsplit("--report ", 1)[1].split("|")
+    assert sections == ["verdict", "classes", "matrix", "absorption"]
+    for section in sections:
+        assert invoke(capsys, "chain", "--format", "csv", "--report", section)[0] == EXIT_OK
 
 
 def test_help_exits_cleanly(capsys):
