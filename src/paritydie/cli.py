@@ -6,13 +6,18 @@ input-data error, 3 numeric-range error.  A toss stream that is not valid
 UTF-8, holds a symbol other than E/O, holds no tosses or cannot be read
 exits 2.  Given fixed seed flags, identical invocations produce
 byte-identical output.
+
+JSON is printed exactly as ``json.dumps(payload, indent=2)`` prints it,
+with lists of flat rows encoded at C speed.  ``test --format csv`` writes
+each sequential row as the replay yields it, once every flag and the
+stream have been checked; ``test`` as JSON gathers the whole report first.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -25,7 +30,7 @@ from .core import MutationRule, Parity
 from .enumeration import path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
 from .serialize import fraction_fields, fraction_pair
-from .stats import fairness_report, scenario, sequential_report
+from .stats import fairness_report, prefix_rows, scenario, sequential_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +59,12 @@ class SequenceParseError(ValueError):
     def __init__(self, position: int, symbol: str):
         self.position = position
         self.symbol = symbol
-        super().__init__(f"invalid toss symbol {symbol!r} at position {position}")
+        if "\udc80" <= symbol <= "\udcff":
+            # a byte that is not UTF-8, decoded with errors="surrogateescape"
+            message = f"can't decode byte {ord(symbol) - 0xDC00:#04x} at position {position}"
+        else:
+            message = f"invalid toss symbol {symbol!r} at position {position}"
+        super().__init__(message)
 
 
 def parse_sequence(text: str) -> list[Parity]:
@@ -112,6 +122,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# JSON scalars: a dict whose values are all of these types is a flat row.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _is_rows(value) -> bool:
+    """Whether ``value`` is a non-empty list of non-empty flat dicts."""
+    return (
+        type(value) in (list, tuple)
+        and bool(value)
+        and type(value[0]) is dict
+        and _SCALARS.issuperset(map(type, value[0].values()))
+        and set(map(type, value)) == {dict}
+        and all(value)
+        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, value))))
+    )
+
+
+def _dumps_rows(rows, level: int) -> str:
+    """A row list as ``json.dumps(indent=2)`` writes it ``level`` deep, in one C-encoder call.
+
+    The rows are encoded with the separator that goes between the items of
+    one row; then each ``},<sep>{`` between two rows is given its own lines.
+    JSON strings never hold a raw newline, so every newline is a separator.
+    """
+    outer = "\n" + "  " * (level + 1)
+    inner = outer + "  "
+    text = json.dumps(rows, separators=("," + inner, ": "))[2:-2]
+    text = text.replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
+    return "[" + outer + "{" + inner + text + outer + "}\n" + "  " * level + "]"
+
+
+def _dumps_with_rows(value, level: int) -> str | None:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``level`` deep, or None.
+
+    Row lists reached through dicts are written by ``_dumps_rows``.  None
+    means there are none, and the caller writes ``value`` whole.
+    """
+    if type(value) is not dict:
+        return _dumps_rows(value, level) if _is_rows(value) else None
+    texts = {
+        key: _dumps_with_rows(item, level + 1)
+        for key, item in value.items()
+        if type(item) in (dict, list, tuple)
+    }
+    if not any(texts.values()) or not all(type(key) is str for key in value):
+        return None
+    newline = "\n" + "  " * (level + 1)
+    fields = (
+        json.dumps(key)
+        + ": "
+        + (texts.get(key) or json.dumps(item, indent=2).replace("\n", newline))
+        for key, item in value.items()
+    )
+    return "{" + newline + ("," + newline).join(fields) + "\n" + "  " * level + "}"
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python.  Lists of flat rows
+    (``test`` records, ``enumerate`` entries) go to the C encoder instead;
+    a payload without any goes to ``json.dumps`` whole.
+    """
+    text = _dumps_with_rows(payload, 0)
+    return json.dumps(payload, indent=2) if text is None else text
+
+
 def _print_json(payload: dict) -> None:
     # Exact tails of long streams hold integers past the 4300-digit str() limit
     # that Python 3.10.7+ sets by default; lift it while printing.
@@ -119,18 +196,16 @@ def _print_json(payload: dict) -> None:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
 
 
 def _fraction_row(value: Fraction) -> list:
@@ -278,26 +353,42 @@ def _cmd_simulate(args):
     )
 
 
+def _check_test_flags(args) -> None:
+    """Refuse ``test`` flag values out of range, naming the flag, before any output."""
+    if not 0 < args.p0 < 1:
+        raise ValueError(f"--p0 must lie strictly in (0, 1), got {args.p0}")
+    if not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must lie strictly in (0, 1), got {args.alpha}")
+    if args.t_min < 1:
+        raise ValueError(f"--t-min must be at least 1, got {args.t_min}")
+    if args.run_threshold is not None and args.run_threshold < 1:
+        raise ValueError(f"--run-threshold must be at least 1, got {args.run_threshold}")
+
+
 def _cmd_test(args):
+    _check_test_flags(args)
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8", errors="surrogateescape")
     tosses = parse_sequence(text)
     if not tosses:
         print("error: the input contains no tosses", file=sys.stderr)
         return EXIT_DATA
-    # CSV prints only the sequential records, so it skips the exact tail
-    report = fairness_report(tosses, args.p0, args.alpha, exact=args.format == "json")
-    sequential = sequential_report(
+    replay = (
         tosses, args.p0, args.alpha, args.t_min, args.run_threshold,
-        two_sided=not args.one_sided, bonferroni=args.bonferroni,
+        not args.one_sided, args.bonferroni,
     )
     if args.format == "json":
+        report = fairness_report(tosses, args.p0, args.alpha)
+        sequential = sequential_report(*replay)
         return {"report": report.to_jsonable(), "sequential": sequential.to_jsonable()}
+    # CSV prints only the sequential rows: it skips the exact tail, refuses
+    # what JSON refuses before its header, and writes each row as it comes.
+    fairness_report(tosses, args.p0, args.alpha, exact=False)
+    _, _, rows = prefix_rows(*replay)
     return ["t", "even_count", "z", "flag"], (
-        [record.t, record.even_count, record.z, int(record.flagged)]
-        for record in sequential.records
+        [t, evens, z, int(z_flag or run_flag)] for t, evens, z, z_flag, run_flag in rows
     )
 
 

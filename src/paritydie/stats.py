@@ -5,12 +5,19 @@ point; tail and run probabilities are exact rationals, each tail one integer
 numerator over b**n for p = a/b.  The sequential report replays a toss
 stream prefix by prefix, which is where order starts to matter: streams
 with identical totals can part ways long before the final count is in.
+
+The replay is written once, as the lazy rows of ``prefix_rows``, which
+checks every parameter before the first row.  ``sequential_report``
+gathers the rows into slotted, frozen ``PrefixRecord``s (so ``vars()`` of
+a record fails; use its fields); the command line's CSV output writes them
+as they come and never holds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import comb, floor, log, sqrt
 from statistics import NormalDist
 from typing import Sequence
@@ -205,8 +212,10 @@ def fairness_report(
     return TestReport(n, evens, p0, alpha, z, 1.0 - normal_cdf(z), tail, reject)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrefixRecord:
+    """One prefix of the replay: its length, even count, z and the two flags."""
+
     t: int
     even_count: int
     z: float
@@ -218,7 +227,7 @@ class PrefixRecord:
         return self.z_flag or self.run_flag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunEvent:
     """A maximal same-parity run that reached the detector threshold."""
 
@@ -255,9 +264,86 @@ class SequentialReport:
             "two_sided": self.two_sided,
             "bonferroni": self.bonferroni,
             "first_rejection": self.first_rejection,
-            "run_events": [dict(vars(e), parity=e.parity.char) for e in self.run_events],
-            "records": [dict(vars(r)) for r in self.records],
+            "run_events": [
+                {"start": e.start, "length": e.length, "parity": e.parity.char}
+                for e in self.run_events
+            ],
+            "records": [
+                {
+                    "t": r.t,
+                    "even_count": r.even_count,
+                    "z": r.z,
+                    "z_flag": r.z_flag,
+                    "run_flag": r.run_flag,
+                }
+                for r in self.records
+            ],
         }
+
+
+def prefix_rows(
+    sequence: Sequence[Parity],
+    p0: float | Fraction = HALF,
+    alpha: float = 0.05,
+    t_min: int = 10,
+    run_threshold: int | None = None,
+    two_sided: bool = True,
+    bonferroni: bool = False,
+):
+    """Check the replay's parameters, then return (run threshold, run events, rows).
+
+    Every check runs here, before the first row.  ``rows`` lazily yields
+    (t, even_count, z, z_flag, run_flag) for each prefix from ``t_min`` on;
+    each maximal run of ``run_threshold`` or more tosses joins the
+    ``run_events`` list as the rows that end it are consumed.  See
+    ``sequential_report``.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    if t_min < 1:
+        raise ValueError(f"t_min must be at least 1, got {t_min}")
+    p0 = Fraction(p0)
+    if run_threshold is None:
+        run_threshold = default_run_threshold(p0)
+    if run_threshold < 1:
+        raise ValueError(f"run threshold must be at least 1, got {run_threshold}")
+    p = float(p0)
+    if not 0 < p < 1:
+        raise ValueError(f"null probability must lie strictly in (0, 1), got {p}")
+    tests = max(len(sequence) - t_min + 1, 1)
+    level = alpha / tests if bonferroni else alpha
+    critical = _critical_value(level / 2 if two_sided else level, alpha)
+    run_events: list[RunEvent] = []
+    rows = _replay(sequence, p, critical, t_min, run_threshold, two_sided, run_events)
+    return run_threshold, run_events, rows
+
+
+def _replay(sequence, p, critical, t_min, run_threshold, two_sided, run_events):
+    # z is computed as z_score(evens, t, p) does, term for term, so the
+    # floats are bit-identical: t*p*q is (t*p)*q, and q = 1 - p.
+    q = 1 - p
+    even = Parity.EVEN
+    evens = 0
+    run_length = 0
+    run_start = 1
+    previous: Parity | None = None
+    for t, parity in enumerate(sequence, start=1):
+        if parity is previous:
+            run_length += 1
+        else:
+            if run_length >= run_threshold:
+                run_events.append(RunEvent(run_start, run_length, previous))
+            run_start = t
+            run_length = 1
+            previous = parity
+        evens += parity is even
+        if t < t_min:
+            continue
+        mean = t * p
+        z = (evens - mean) / sqrt(mean * q)
+        yield t, evens, z, (abs(z) if two_sided else z) >= critical, run_length >= run_threshold
+    if run_length >= run_threshold:
+        run_events.append(RunEvent(run_start, run_length, previous))
 
 
 def sequential_report(
@@ -279,49 +365,12 @@ def sequential_report(
     reached ``run_threshold``, which defaults to the shortest run rarer than
     1 in 1000 under the null.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    if t_min < 1:
-        raise ValueError(f"t_min must be at least 1, got {t_min}")
-    p0 = Fraction(p0)
-    if run_threshold is None:
-        run_threshold = default_run_threshold(p0)
-    if run_threshold < 1:
-        raise ValueError(f"run threshold must be at least 1, got {run_threshold}")
-
-    tests = max(len(sequence) - t_min + 1, 1)
-    level = alpha / tests if bonferroni else alpha
-    critical = _critical_value(level / 2 if two_sided else level, alpha)
-
-    records = []
-    run_events = []
-    first_rejection: int | None = None
-    evens = 0
-    run_length = 0
-    run_start = 1
-    previous: Parity | None = None
-    for t, parity in enumerate(sequence, start=1):
-        evens += parity is Parity.EVEN
-        if parity is previous:
-            run_length += 1
-        else:
-            if previous is not None and run_length >= run_threshold:
-                run_events.append(RunEvent(run_start, run_length, previous))
-            run_start = t
-            run_length = 1
-            previous = parity
-        if t < t_min:
-            continue
-        z = z_score(evens, t, p0)
-        z_flag = (abs(z) >= critical) if two_sided else (z >= critical)
-        run_flag = run_length >= run_threshold
-        records.append(PrefixRecord(t, evens, z, z_flag, run_flag))
-        if first_rejection is None and (z_flag or run_flag):
-            first_rejection = t
-    if previous is not None and run_length >= run_threshold:
-        run_events.append(RunEvent(run_start, run_length, previous))
-
+    run_threshold, run_events, rows = prefix_rows(
+        sequence, p0, alpha, t_min, run_threshold, two_sided, bonferroni
+    )
+    records = tuple(starmap(PrefixRecord, rows))
+    first_rejection = next((r.t for r in records if r.z_flag or r.run_flag), None)
     return SequentialReport(
-        p0, alpha, t_min, run_threshold, two_sided, bonferroni,
-        tuple(records), tuple(run_events), first_rejection,
+        Fraction(p0), alpha, t_min, run_threshold, two_sided, bonferroni,
+        records, tuple(run_events), first_rejection,
     )

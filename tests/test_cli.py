@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import paritydie
 from paritydie import (
@@ -16,6 +18,7 @@ from paritydie import (
     exact_binomial_tail,
     path_distribution,
     scenario,
+    sequential_report,
     simulate_path,
 )
 from paritydie.cli import (
@@ -23,6 +26,7 @@ from paritydie.cli import (
     EXIT_OK,
     EXIT_RANGE,
     EXIT_USAGE,
+    _json_text,
     format_sequence,
     parse_sequence,
     run,
@@ -320,6 +324,64 @@ def test_undecodable_toss_stream_is_a_data_error(tmp_path, capsys, monkeypatch, 
     assert "can't decode byte 0xff" in err
 
 
+def test_undecodable_byte_reads_the_same_from_file_and_stdin(tmp_path, capsys, monkeypatch):
+    # the console script's stdin decodes with surrogateescape, as --input does
+    raw = b"EE\xffOO"
+    stream = tmp_path / "tosses.txt"
+    stream.write_bytes(raw)
+    from_file = invoke(capsys, "test", "--input", str(stream))
+    monkeypatch.setattr(
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    )
+    from_stdin = invoke(capsys, "test")
+    assert from_file == from_stdin == (EXIT_DATA, "", "error: can't decode byte 0xff at position 3\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-min", "0"],
+        ["--run-threshold", "0"],
+        ["--alpha", "nan"],
+        ["--alpha", "1.5"],
+        ["--p0", "0"],
+        ["--p0", "3/2"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_test_flag_out_of_range_names_the_flag(tmp_path, capsys, flags, fmt):
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EO" * 8)
+    code, out, err = invoke(capsys, "test", "--input", str(stream), "--format", fmt, *flags)
+    assert code == EXIT_RANGE
+    assert out == ""  # refused before the CSV header
+    assert err.startswith(f"error: {flags[0]} ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alpha", "5e-324"], ["--alpha", "5e-324", "--one-sided"], ["--p0", "99999/100000"]],
+)
+def test_test_csv_refuses_before_its_header(tmp_path, capsys, flags):
+    # refusals the library makes, past the flag checks
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("E" * 30)
+    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--format", "csv", *flags)
+    assert (code, out) == (EXIT_RANGE, "")
+
+
+def test_test_csv_streams_every_prefix(tmp_path, capsys):
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EEO" * 400)
+    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--format", "csv")
+    assert code == EXIT_OK
+    report = sequential_report(parse_sequence("EEO" * 400))
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["t", "even_count", "z", "flag"]
+    assert rows[1:] == [
+        [str(r.t), str(r.even_count), repr(r.z), str(int(r.flagged))] for r in report.records
+    ]
+
 def _states(states):
     return " ".join("".join(map(str, state)) for state in states)
 
@@ -438,3 +500,42 @@ def test_closed_pipe_stops_quietly():
     assert len(first.strip()) == 40
     assert process.returncode == EXIT_OK
     assert err == b""
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(4300, 4400).map(lambda digits: -(10**digits) - 7),  # past the str() limit
+    st.floats(),  # nan and the infinities included
+    st.text(),
+    st.sampled_from(["},\n  {", "}, {", "{", "}", "[{", "}]", "Grüße, 世界  "]),
+)
+_FLAT_ROWS = st.lists(st.dictionaries(st.text(), _JSON_SCALARS, min_size=1), min_size=1)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        _FLAT_ROWS,
+        _FLAT_ROWS.flatmap(
+            lambda rows: st.integers(0, len(rows)).map(lambda i: rows[:i] + [{}] + rows[i:])
+        ),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_TREES)
+def test_json_writer_matches_json_dumps(value):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _json_text(value) == json.dumps(value, indent=2)
+        # the same tree one level down, as payloads hold their rows
+        assert _json_text({"rows": value}) == json.dumps({"rows": value}, indent=2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

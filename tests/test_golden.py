@@ -8,11 +8,12 @@ here.  Regenerate them only when an output is meant to change.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from paritydie import MutationRule, absorption_frequencies
-from paritydie.cli import EXIT_OK, run
+from paritydie import MutationRule, absorption_frequencies, scenario
+from paritydie.cli import EXIT_OK, format_sequence, run
 
 COMMANDS = {
     "enumerate-json": ["enumerate", "--depth", "10"],
@@ -99,3 +100,64 @@ def test_absorption_frequencies_match_golden_tallies(key):
     rule, runs, max_steps = key
     sample = absorption_frequencies(MutationRule.from_name(rule), runs, 7, max_steps=max_steps)
     assert (sample.counts, sample.unabsorbed, sample.total_steps) == ABSORPTION_GOLDEN[key]
+
+
+# ``test`` on fixed toss streams: the three scenarios and a 3,000-toss stream
+# drawn from random.Random(3000), each at two nulls and in both formats,
+# plus one one-sided Bonferroni replay.  Recorded from the replay that still
+# called ``z_score`` once per prefix and built the JSON with
+# ``json.dumps(indent=2)`` alone.
+def _toss_stream(name: str) -> str:
+    if name.startswith("scenario"):
+        return format_sequence(scenario(int(name[-1])))
+    rng = random.Random(3000)
+    return "".join("EO"[rng.random() >= 0.5] for _ in range(3000))
+
+
+TEST_COMMANDS = {
+    **{
+        f"{stream} {p0} {fmt}": (stream, ["--p0", p0, "--format", fmt])
+        for stream in ("scenario1", "scenario2", "scenario3", "stream3000")
+        for p0 in ("1/2", "1/3")
+        for fmt in ("json", "csv")
+    },
+    **{
+        f"stream3000 1/3-one-sided-bonferroni {fmt}": (
+            "stream3000", ["--p0", "1/3", "--one-sided", "--bonferroni", "--format", fmt]
+        )
+        for fmt in ("json", "csv")
+    },
+}
+
+TEST_GOLDEN = {
+    "scenario1 1/2 csv": "8a1c3cdb1acce8dcb914f7415947ad005d7dc41f5c4256486c2b7c7aead7421a",
+    "scenario1 1/2 json": "84bdc1bc12cf06c9fdd1baa41edf8c39ba3ae87e37f29cafd2c5fe95d04d0e83",
+    "scenario1 1/3 csv": "2af06ec5048e444ca4abeb598b4c458800ed03c7a42134eb26067d9ffa9c69c3",
+    "scenario1 1/3 json": "e4d345bb354b21e346a79ba7650d4535de2652a7cdbd90e8d9d74664b787874f",
+    "scenario2 1/2 csv": "26a8dca013734372b5ce9b8a03358e6a55a4490d0f94b28a0bbd9897095899bf",
+    "scenario2 1/2 json": "3a9400c43d310e7d3063d19bac253e0ee244de18ae8c6b938651a7686d63ab2c",
+    "scenario2 1/3 csv": "3d24bb2ed8e01d6dde6592c54ca2da90ac9a357084ec1a001643b99d68d480bc",
+    "scenario2 1/3 json": "048d517b0968f197665e8c58719fd61d64243a83644e9fff1a26e8ef0eb4ad96",
+    "scenario3 1/2 csv": "a2b90e73a06fce0168ef96d2090a19c13247af31dfbb99c4704d7769302e2d57",
+    "scenario3 1/2 json": "80e6a66379ee3952fb58be0c65339e5910a3f01b1be41badbcb739e3e2adbf97",
+    "scenario3 1/3 csv": "13c4dd5406974039a6b5c8e907533f5d8c2280c09737e641136ce6e84930a5af",
+    "scenario3 1/3 json": "310c6cda3a4f7e73a5d9ebf567e1d2564c60895fc493b5b0879cbeb4a70c5a62",
+    "stream3000 1/2 csv": "5363bd1b4b098eabdd5462366c18ba1bda77d06a0d63e92680621d1b3c0ac754",
+    "stream3000 1/2 json": "cdf0eb40796395f02090a36131b4f3ab6b5d66d8b928cb9add3678a51afcfb66",
+    "stream3000 1/3 csv": "ddb6e546f0c988543f75f04b5a16d231a5d18c9a6a2fbe0c80506998c8e4b27e",
+    "stream3000 1/3 json": "0c520c1ea123964b87506a2d142b6404ef032f8c724ebe5f529ff36ea8601a69",
+    "stream3000 1/3-one-sided-bonferroni csv": "9280fef396c2ecb18d113192222c7d3bcf26a2ba6240e927b771e15de008d018",
+    "stream3000 1/3-one-sided-bonferroni json": "bda983f0af1a6a1d0ccea5545675a1640a44cc36bcf9419df5ae5dc312bb6681",
+}
+
+
+def test_every_test_command_has_a_digest():
+    assert set(TEST_GOLDEN) == set(TEST_COMMANDS)
+
+
+@pytest.mark.parametrize("key", sorted(TEST_COMMANDS))
+def test_test_stdout_matches_golden_digest(capsys, tmp_path, key):
+    stream, flags = TEST_COMMANDS[key]
+    path = tmp_path / "tosses.txt"
+    path.write_text(_toss_stream(stream))
+    assert stdout_digest(capsys, ["test", "--input", str(path), *flags]) == TEST_GOLDEN[key]

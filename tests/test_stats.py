@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from paritydie import (
     Parity,
+    PrefixRecord,
     RunThresholdError,
     binomial_moments,
     default_run_threshold,
@@ -19,6 +21,7 @@ from paritydie import (
     fairness_report,
     z_score,
 )
+from paritydie.stats import prefix_rows
 
 from oracles import (
     binomial_sd,
@@ -292,6 +295,44 @@ def test_sequential_report_validation():
     with pytest.raises(ValueError):
         sequential_report(scenario(1), run_threshold=0)
 
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"alpha": 1.5}, {"t_min": 0}, {"run_threshold": 0}, {"p0": 0}, {"p0": 2}]
+)
+def test_prefix_rows_checks_before_the_first_row(kwargs):
+    # the rows are never consumed: every check runs in the call itself
+    with pytest.raises(ValueError):
+        prefix_rows(scenario(1), **kwargs)
+
+
+@given(
+    st.lists(st.sampled_from([E, O]), max_size=200),
+    st.fractions(min_value=0, max_value=1).filter(lambda p: 0 < p < 1 and 0 < float(p) < 1),
+    st.integers(min_value=1, max_value=20),
+    st.booleans(),
+)
+def test_replay_z_is_bit_identical_to_z_score(tosses, p0, t_min, two_sided):
+    report = sequential_report(tosses, p0, t_min=t_min, run_threshold=5, two_sided=two_sided)
+    assert [r.t for r in report.records] == list(range(t_min, len(tosses) + 1))
+    for record in report.records:
+        assert record.even_count == tosses[: record.t].count(E)
+        assert record.z == z_score(record.even_count, record.t, p0)
+    flagged = [r.t for r in report.records if r.flagged]
+    assert report.first_rejection == (flagged[0] if flagged else None)
+    _, run_events, rows = prefix_rows(tosses, p0, t_min=t_min, run_threshold=5, two_sided=two_sided)
+    assert [PrefixRecord(*row) for row in rows] == list(report.records)
+    assert tuple(run_events) == report.run_events
+
+
+def test_prefix_records_are_slotted_frozen_values():
+    record = sequential_report(scenario(3)).records[84]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.z = 0.0
+    twin = PrefixRecord(*dataclasses.astuple(record))
+    assert twin == record and hash(twin) == hash(record)
+    assert record.flagged == (record.z_flag or record.run_flag)
 
 def test_sequential_report_jsonable():
     payload = sequential_report(scenario(3)).to_jsonable()
