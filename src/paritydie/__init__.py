@@ -10,130 +10,16 @@ arithmetic (binomial moments, z-scores, run probabilities, sequential
 testing) used to reason about observed toss streams.
 """
 
-from .chain import (
-    AbsorptionEntry,
-    AbsorptionReport,
-    ChainClassification,
-    ChainModel,
-    ErgodicityVerdict,
-    absorption,
-    build_chain,
-    chain_report,
-    classify,
-    is_ergodic,
-    long_run_share,
-)
-from .core import (
-    DieConfig,
-    MutationRule,
-    Parity,
-    RollResult,
-    all_configs,
-    flip_parities,
-    initial_config,
-    is_frozen,
-    parity_probability,
-    roll_events,
-    transitions,
-)
-from .enumeration import (
-    MAX_DEPTH,
-    ConfigDistribution,
-    DepthRangeError,
-    PathDistribution,
-    config_distribution,
-    imbalance_distribution,
-    next_even_probability,
-    path_distribution,
-)
-from .montecarlo import (
-    AbsorptionSample,
-    BatchSummary,
-    SimulationRun,
-    absorption_frequencies,
-    batch,
-    derive_seed,
-    max_multinomial_deviation,
-    path_chi_square,
-    simulate_path,
-)
-from .stats import (
-    PrefixRecord,
-    RunEvent,
-    RunThresholdError,
-    SequentialReport,
-    TestReport,
-    TossSequence,
-    binomial_moments,
-    default_run_threshold,
-    exact_binomial_tail,
-    normal_cdf,
-    normal_quantile,
-    proportion_after,
-    run_probability,
-    scenario,
-    sequential_report,
-    fairness_report,
-    z_score,
-)
+from . import chain, core, enumeration, montecarlo, stats
+from .chain import *
+from .core import *
+from .enumeration import *
+from .montecarlo import *
+from .stats import *
 
 __version__ = "0.1.0"
 
+# Each module lists its own public names; the package re-exports them all.
 __all__ = [
-    "AbsorptionEntry",
-    "AbsorptionReport",
-    "AbsorptionSample",
-    "BatchSummary",
-    "ChainClassification",
-    "ChainModel",
-    "ConfigDistribution",
-    "DepthRangeError",
-    "DieConfig",
-    "ErgodicityVerdict",
-    "MAX_DEPTH",
-    "MutationRule",
-    "Parity",
-    "PathDistribution",
-    "PrefixRecord",
-    "RollResult",
-    "RunEvent",
-    "RunThresholdError",
-    "SequentialReport",
-    "SimulationRun",
-    "TestReport",
-    "TossSequence",
-    "absorption",
-    "absorption_frequencies",
-    "all_configs",
-    "batch",
-    "binomial_moments",
-    "build_chain",
-    "chain_report",
-    "classify",
-    "config_distribution",
-    "default_run_threshold",
-    "derive_seed",
-    "exact_binomial_tail",
-    "flip_parities",
-    "imbalance_distribution",
-    "initial_config",
-    "is_ergodic",
-    "is_frozen",
-    "long_run_share",
-    "max_multinomial_deviation",
-    "next_even_probability",
-    "normal_cdf",
-    "normal_quantile",
-    "parity_probability",
-    "path_chi_square",
-    "path_distribution",
-    "proportion_after",
-    "roll_events",
-    "run_probability",
-    "scenario",
-    "sequential_report",
-    "simulate_path",
-    "fairness_report",
-    "transitions",
-    "z_score",
+    *chain.__all__, *core.__all__, *enumeration.__all__, *montecarlo.__all__, *stats.__all__
 ]

@@ -37,6 +37,12 @@ from .core import (
 )
 from .serialize import fraction_fields, fraction_pair
 
+__all__ = [
+    "AbsorptionEntry", "AbsorptionReport", "ChainClassification", "ChainModel",
+    "ErgodicityVerdict", "absorption", "build_chain", "chain_report", "classify",
+    "is_ergodic", "long_run_share",
+]
+
 
 @dataclass(frozen=True)
 class ChainModel:

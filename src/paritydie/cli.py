@@ -7,8 +7,10 @@ UTF-8, holds a symbol other than E/O, holds no tosses or cannot be read
 exits 2.  Given fixed seed flags, identical invocations produce
 byte-identical output.
 
-JSON is printed exactly as ``json.dumps(payload, indent=2)`` prints it,
-with lists of flat rows encoded at C speed.  ``test --format csv`` writes
+Each report is built once, as its JSON payload.  JSON is printed exactly as
+``json.dumps(payload, indent=2)`` prints it, with lists of flat rows encoded
+at C speed.  Every CSV except ``test``'s is the payload's rows flattened,
+so JSON and CSV cells agree by construction.  ``test --format csv`` writes
 each sequential row as the replay yields it, once every flag and the
 stream have been checked; ``test`` as JSON gathers the whole report first.
 """
@@ -29,7 +31,7 @@ from .chain import chain_report
 from .core import MutationRule, Parity
 from .enumeration import path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
-from .serialize import fraction_fields, fraction_pair
+from .serialize import fraction_fields
 from .stats import fairness_report, prefix_rows, scenario, sequential_report
 
 EXIT_OK = 0
@@ -208,10 +210,6 @@ def _print_csv(header: list[str], rows: Iterable[list]) -> None:
     writer.writerows(rows)
 
 
-def _fraction_row(value: Fraction) -> list:
-    return [value.numerator, value.denominator, float(value)]
-
-
 def _states_cell(states) -> str:
     return " ".join("".join(map(str, state)) for state in states)
 
@@ -226,8 +224,12 @@ def _matrix_rows(report: dict):
     )
 
 
-# The chain report's CSV sections: header and row builder over the
-# ``chain_report`` payload.  ``--report full`` has no CSV form.
+def _pair(fields: dict) -> list:
+    return [fields["numerator"], fields["denominator"]]
+
+
+# The chain report's CSV sections, each a header and a row builder over the
+# section's JSON payload.  ``--report full`` has no CSV form.
 _CHAIN_CSV = {
     "verdict": (
         ["ergodic", "aperiodic", "explanation"],
@@ -266,18 +268,12 @@ _CHAIN_CSV = {
     ),
 }
 
-# Each handler returns its report in the form ``--format`` asks for: the JSON
-# payload, or the CSV header and rows.  ``run`` writes it.  A handler that
-# writes its own output (``--emit``) or refuses returns an exit code instead.
-
-
-def _cmd_table(args):
-    enumerated = path_distribution(args.rule, 3).entries
-    standard = path_distribution(MutationRule.NO_MUTATION, 3).entries
-    published = PUBLISHED_NONSTANDARD_TABLE
-    sequences = sorted(published)
-    if args.format == "csv":
-        return [
+# Every report's CSV form, keyed by subcommand or by ``chain`` section: its
+# rows are the JSON payload's rows flattened, so the two formats agree cell
+# by cell.
+_CSV = {
+    "table": (
+        [
             "sequence",
             "standard_numerator",
             "standard_denominator",
@@ -287,16 +283,42 @@ def _cmd_table(args):
             "published_numerator",
             "published_denominator",
             "match",
-        ], (
+        ],
+        lambda report: (
             [
-                sequence,
-                *fraction_pair(standard[sequence]),
-                *_fraction_row(enumerated[sequence]),
-                *fraction_pair(published[sequence]),
-                enumerated[sequence] == published[sequence],
+                row["sequence"],
+                *_pair(row["standard"]),
+                *row["enumerated"].values(),
+                *_pair(row["published"]),
+                row["match"],
             ]
-            for sequence in sequences
-        )
+            for row in report["rows"]
+        ),
+    ),
+    "enumerate": (
+        ["sequence", "numerator", "denominator", "decimal"],
+        lambda report: map(dict.values, report["entries"]),
+    ),
+    "simulate": (
+        ["even_count", "count", "frequency"],
+        lambda report: (
+            [k, c, c / report["runs"]] for k, c in report["even_counts"].items()
+        ),
+    ),
+    "scenario": (["id", "n", "even_count", "sequence"], lambda report: [report.values()]),
+    **_CHAIN_CSV,
+}
+
+# Each handler returns its report's JSON payload, which ``run`` writes as JSON
+# or, through ``_CSV``, as CSV.  ``test --format csv`` returns its CSV header
+# and streamed rows instead.  A handler that writes its own output
+# (``--emit``) or refuses returns an exit code.
+
+
+def _cmd_table(args):
+    enumerated = path_distribution(args.rule, 3).entries
+    standard = path_distribution(MutationRule.NO_MUTATION, 3).entries
+    published = PUBLISHED_NONSTANDARD_TABLE
     rows = [
         {
             "sequence": sequence,
@@ -305,7 +327,7 @@ def _cmd_table(args):
             "published": fraction_fields(published[sequence]),
             "match": enumerated[sequence] == published[sequence],
         }
-        for sequence in sequences
+        for sequence in sorted(published)
     ]
     return {
         "rule": args.rule.value,
@@ -315,13 +337,7 @@ def _cmd_table(args):
 
 
 def _cmd_enumerate(args):
-    distribution = path_distribution(args.rule, args.depth)
-    if args.format == "json":
-        return distribution.to_jsonable()
-    return ["sequence", "numerator", "denominator", "decimal"], (
-        [sequence, *_fraction_row(probability)]
-        for sequence, probability in sorted(distribution.entries.items())
-    )
+    return path_distribution(args.rule, args.depth).to_jsonable()
 
 
 def _cmd_chain(args):
@@ -330,9 +346,6 @@ def _cmd_chain(args):
         print(f"error: csv output requires --report {'|'.join(_CHAIN_CSV)}", file=sys.stderr)
         return EXIT_USAGE
     report = chain_report(args.rule)
-    if args.format == "csv":
-        header, rows = _CHAIN_CSV[section]
-        return header, rows(report)
     keys = ("rule", "states", "matrix") if section == "matrix" else ("rule", section)
     return report if section == "full" else {key: report[key] for key in keys}
 
@@ -345,18 +358,21 @@ def _cmd_simulate(args):
             run = simulate_path(args.rule, args.tosses, derive_seed(args.seed, index))
             print(run.sequence())
         return EXIT_OK
-    summary = batch(args.rule, args.tosses, args.runs, args.seed)
-    if args.format == "json":
-        return summary.to_jsonable()
-    return ["even_count", "count", "frequency"], (
-        [k, c, c / summary.runs] for k, c in sorted(summary.even_counts.items())
-    )
+    return batch(args.rule, args.tosses, args.runs, args.seed).to_jsonable()
 
 
 def _check_test_flags(args) -> None:
-    """Refuse ``test`` flag values out of range, naming the flag, before any output."""
-    if not 0 < args.p0 < 1:
-        raise ValueError(f"--p0 must lie strictly in (0, 1), got {args.p0}")
+    """Refuse ``test`` flag values out of range, naming the flag, before any output.
+
+    ``--p0`` is checked as the float the replay uses, so a value that rounds
+    to 0 or 1, or lies past the largest float, is refused here too.
+    """
+    try:
+        p0 = float(args.p0)
+    except OverflowError:
+        p0 = float("inf") if args.p0 > 0 else float("-inf")
+    if not 0 < p0 < 1:
+        raise ValueError(f"--p0 must lie strictly in (0, 1) as a float, got {p0}")
     if not 0 < args.alpha < 1:
         raise ValueError(f"--alpha must lie strictly in (0, 1), got {args.alpha}")
     if args.t_min < 1:
@@ -398,13 +414,12 @@ def _cmd_scenario(args):
     if args.emit:
         print(text)
         return EXIT_OK
-    payload = {
+    return {
         "id": args.id,
         "n": len(tosses),
         "even_count": sum(parity is Parity.EVEN for parity in tosses),
         "sequence": text,
     }
-    return payload if args.format == "json" else (list(payload), [list(payload.values())])
 
 
 def _add_rule(parser) -> None:
@@ -547,7 +562,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         result = args.handler(args)
-        if isinstance(result, dict):
+        if isinstance(result, dict) and args.format == "csv":
+            # only ``chain`` has ``--report``; it names the CSV section
+            header, rows = _CSV[getattr(args, "report", args.command)]
+            _print_csv(header, rows(result))
+        elif isinstance(result, dict):
             _print_json(result)
         elif isinstance(result, tuple):
             _print_csv(*result)

@@ -19,6 +19,11 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
+__all__ = [
+    "DieConfig", "MutationRule", "Parity", "RollResult", "all_configs", "flip_parities",
+    "initial_config", "is_frozen", "parity_probability", "roll_events", "transitions",
+]
+
 PAIR_COUNT = 3
 FACE_COUNT = 6
 

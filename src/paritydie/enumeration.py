@@ -27,6 +27,12 @@ from .core import (
 )
 from .serialize import fraction_fields
 
+__all__ = [
+    "MAX_DEPTH", "ConfigDistribution", "DepthRangeError", "PathDistribution",
+    "config_distribution", "imbalance_distribution", "next_even_probability",
+    "path_distribution",
+]
+
 MAX_DEPTH = 20
 
 
@@ -45,8 +51,8 @@ def _check_depth(depth: int, max_depth: int, minimum: int) -> None:
 class PathDistribution:
     """Exact probability of every parity sequence of a fixed length.
 
-    Keys are strings over 'E'/'O' of length ``depth``; values are positive
-    rationals summing exactly to 1.
+    Keys are strings over 'E'/'O' of length ``depth``, in lexicographic
+    order; values are positive rationals summing exactly to 1.
     """
 
     rule: MutationRule
@@ -62,7 +68,7 @@ class PathDistribution:
             "depth": self.depth,
             "entries": [
                 {"sequence": sequence, **fraction_fields(probability)}
-                for sequence, probability in sorted(self.entries.items())
+                for sequence, probability in self.entries.items()
             ],
         }
 
@@ -87,7 +93,8 @@ def path_distribution(
     Expands the prefixes level by level from the initial configuration,
     merging identical die states under each prefix; weights are face-sequence
     counts out of ``6**depth``.  The last level is summed straight into the
-    result.  Cost and result size grow as 2**depth, hence the ``max_depth``
+    result.  Every level lists E before O under each prefix, so the entries
+    come out in lexicographic order.  Cost and result size grow as 2**depth, hence the ``max_depth``
     guard; pass a larger ``max_depth`` explicitly to go deeper.
     """
     _check_depth(depth, max_depth, minimum=1)

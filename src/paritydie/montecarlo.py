@@ -33,6 +33,12 @@ from .core import (
 )
 from .enumeration import PathDistribution
 
+__all__ = [
+    "AbsorptionSample", "BatchSummary", "SimulationRun", "absorption_frequencies",
+    "batch", "derive_seed", "max_multinomial_deviation", "path_chi_square",
+    "simulate_path",
+]
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 

@@ -25,6 +25,13 @@ from typing import Sequence
 from .core import Parity
 from .serialize import fraction_fields
 
+__all__ = [
+    "PrefixRecord", "RunEvent", "RunThresholdError", "SequentialReport", "TestReport",
+    "TossSequence", "binomial_moments", "default_run_threshold", "exact_binomial_tail",
+    "fairness_report", "normal_cdf", "normal_quantile", "proportion_after",
+    "run_probability", "scenario", "sequential_report", "z_score",
+]
+
 TossSequence = list[Parity]
 
 HALF = Fraction(1, 2)

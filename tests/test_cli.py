@@ -359,6 +359,20 @@ def test_test_flag_out_of_range_names_the_flag(tmp_path, capsys, flags, fmt):
 
 
 @pytest.mark.parametrize(
+    "p0, shown", [("1e-400", "0.0"), ("0.99999999999999999999", "1.0"), ("1e400", "inf")]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_test_p0_at_the_float_edges_names_the_flag(tmp_path, capsys, p0, shown, fmt):
+    # exact in (0, 1) or far past it, but 0, 1 or beyond range as the float the replay uses
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EO" * 8)
+    code, out, err = invoke(capsys, "test", "--input", str(stream), "--format", fmt, "--p0", p0)
+    assert (code, out) == (EXIT_RANGE, "")
+    assert err == f"error: --p0 must lie strictly in (0, 1) as a float, got {shown}\n"
+    assert len(err) < 120
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--alpha", "5e-324"], ["--alpha", "5e-324", "--one-sided"], ["--p0", "99999/100000"]],
 )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import paritydie
 from paritydie import (
     DieConfig,
     MutationRule,
@@ -161,3 +162,32 @@ def test_parity_helpers():
     assert MutationRule.from_name("COPY") is COPY
     with pytest.raises(ValueError):
         MutationRule.from_name("bogus")
+
+
+# The package's public names before each module listed its own.
+PACKAGE_NAMES = {
+    "AbsorptionEntry", "AbsorptionReport", "AbsorptionSample", "BatchSummary",
+    "ChainClassification", "ChainModel", "ConfigDistribution", "DepthRangeError", "DieConfig",
+    "ErgodicityVerdict", "MAX_DEPTH", "MutationRule", "Parity", "PathDistribution",
+    "PrefixRecord", "RollResult", "RunEvent", "RunThresholdError", "SequentialReport",
+    "SimulationRun", "TestReport", "TossSequence", "absorption", "absorption_frequencies",
+    "all_configs", "batch", "binomial_moments", "build_chain", "chain_report", "classify",
+    "config_distribution", "default_run_threshold", "derive_seed", "exact_binomial_tail",
+    "fairness_report", "flip_parities", "imbalance_distribution", "initial_config",
+    "is_ergodic", "is_frozen", "long_run_share", "max_multinomial_deviation",
+    "next_even_probability", "normal_cdf", "normal_quantile", "parity_probability",
+    "path_chi_square", "path_distribution", "proportion_after", "roll_events",
+    "run_probability", "scenario", "sequential_report", "simulate_path", "transitions",
+    "z_score",
+}
+
+
+def test_package_reexports_each_module_name_once():
+    assert len(paritydie.__all__) == len(PACKAGE_NAMES)
+    assert set(paritydie.__all__) == PACKAGE_NAMES
+    modules = [
+        paritydie.chain, paritydie.core, paritydie.enumeration, paritydie.montecarlo, paritydie.stats
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(paritydie, name) is getattr(module, name)

@@ -152,6 +152,14 @@ def test_jsonable_path_distribution():
 
 
 @pytest.mark.parametrize("rule", list(MutationRule))
+def test_path_entries_come_in_lexicographic_order(rule):
+    # to_jsonable and the enumerate CSV write the entries as they come
+    for depth in range(1, 13):
+        sequences = list(path_distribution(rule, depth).entries)
+        assert sequences == sorted(sequences)
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
 def test_path_distribution_matches_labelled_die_oracle(rule):
     assert path_distribution(rule, 8).entries == labelled_path_distribution(rule, 8)
 

@@ -161,3 +161,43 @@ def test_test_stdout_matches_golden_digest(capsys, tmp_path, key):
     path = tmp_path / "tosses.txt"
     path.write_text(_toss_stream(stream))
     assert stdout_digest(capsys, ["test", "--input", str(path), *flags]) == TEST_GOLDEN[key]
+
+
+# CSV outputs of ``simulate`` and ``scenario``, which no digest above covers.
+# Recorded from the command line that still built each CSV beside its JSON
+# payload, before every CSV was read from the payload.
+CSV_COMMANDS = {
+    **{
+        f"{rule} simulate-csv-{tosses}x{runs}": [
+            "simulate", "--tosses", str(tosses), "--runs", str(runs), "--seed", "7",
+            "--format", "csv", "--rule", rule,
+        ]
+        for rule in ("none", "copy", "increment")
+        for tosses, runs in ((3, 2000), (40, 300))
+    },
+    **{
+        f"scenario-{scenario_id}-csv": ["scenario", "--id", str(scenario_id), "--format", "csv"]
+        for scenario_id in (1, 2, 3)
+    },
+}
+
+CSV_GOLDEN = {
+    "none simulate-csv-3x2000": "4ce083c1eeb2ae1e8db7ff2748143cf2981f438f4edba1128ff0006b4939869b",
+    "none simulate-csv-40x300": "95c9cee60a41afabae44ceaa890fb12b79240b5185daa09605f1663bcb9bddc5",
+    "copy simulate-csv-3x2000": "3549fbb9bd8b3a39c4a5f1811723af6ace5d3a956c777e5a217ddee45b6f2106",
+    "copy simulate-csv-40x300": "08adb04077566f610977060df08d280ce883e1a37e62c3b5a9f3ab2097822348",
+    "increment simulate-csv-3x2000": "2c84f264ffd082f3b959b01380d6795def9a04452f86b9e8e836e091573e1445",
+    "increment simulate-csv-40x300": "3a1870bd8580677bc87966e8bc2daf8efcfc728fc634f061e94ecf08bc6b1db2",
+    "scenario-1-csv": "1b8b58bc4136e9043fdffb391dfa365b755116baafed2595077abab5d13c3a9a",
+    "scenario-2-csv": "24653a4f968cf94560843a632f1e55ebdf8d7b062f6afad02ed1d38357e7652c",
+    "scenario-3-csv": "5dc8106db7f7010b46ddaea3d2aac44bde7b0ffd748fc464b1dd01a7e17585ac",
+}
+
+
+def test_every_csv_command_has_a_digest():
+    assert set(CSV_GOLDEN) == set(CSV_COMMANDS)
+
+
+@pytest.mark.parametrize("key", sorted(CSV_COMMANDS))
+def test_csv_stdout_matches_golden_digest(capsys, key):
+    assert stdout_digest(capsys, CSV_COMMANDS[key]) == CSV_GOLDEN[key]
