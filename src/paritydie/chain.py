@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable
 
 from .core import (
     FACE_COUNT,
@@ -39,8 +38,7 @@ from .serialize import fraction_fields, fraction_pair
 
 __all__ = [
     "AbsorptionEntry", "AbsorptionReport", "ChainClassification", "ChainModel",
-    "ErgodicityVerdict", "absorption", "build_chain", "chain_report", "classify",
-    "is_ergodic", "long_run_share",
+    "ErgodicityVerdict", "absorption", "build_chain", "chain_report", "classify", "is_ergodic",
 ]
 
 
@@ -89,7 +87,10 @@ class ErgodicityVerdict:
 
 @dataclass(frozen=True)
 class AbsorptionEntry:
-    """One closed class: entry probability, conditional entry time, even share."""
+    """One closed class: entry probability, conditional entry time, even share.
+
+    ``even_share`` is the long-run share of even outcomes; an irreducible chain has one entry.
+    """
 
     states: tuple[DieConfig, ...]
     probability: Fraction
@@ -371,29 +372,6 @@ def absorption(chain: ChainModel) -> AbsorptionReport:
         ),
         expected_steps=expected_steps,
     )
-
-
-def long_run_share(
-    chain: ChainModel, class_states: DieConfig | Iterable[DieConfig]
-) -> Fraction:
-    """Long-run share of even outcomes inside a closed class.
-
-    ``class_states`` may be a single configuration (an absorbing state) or
-    the full membership of a closed class; anything that is not a closed
-    class of the chain is rejected.
-    """
-    states = tuple(class_states)
-    if len(states) == 3 and all(isinstance(x, int) for x in states):
-        wanted = {DieConfig(*states)}
-    else:
-        wanted = {DieConfig(*state) for state in states}
-    classification = classify(chain)
-    for members, closed in zip(classification.classes, classification.closed):
-        if {chain.states[v] for v in members} == wanted:
-            if not closed:
-                raise ValueError(f"class {sorted(map(tuple, wanted))} is not closed")
-            return _class_even_share(chain, members)
-    raise ValueError(f"{sorted(map(tuple, wanted))} is not a communicating class")
 
 
 def chain_report(rule: MutationRule) -> dict:

@@ -575,7 +575,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader went away (``paritydie ... | head``): stop quietly, and
         # point stdout at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_OK
     except (SequenceParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from operator import add
 from typing import NamedTuple
 
 __all__ = [
-    "DieConfig", "MutationRule", "Parity", "RollResult", "all_configs", "flip_parities",
-    "initial_config", "is_frozen", "parity_probability", "roll_events", "transitions",
+    "DieConfig", "MutationRule", "Parity", "RollResult", "all_configs", "initial_config",
+    "is_frozen", "parity_probability", "roll_events", "transitions",
 ]
 
 PAIR_COUNT = 3
@@ -40,13 +40,6 @@ class Parity(Enum):
 
     def flip(self) -> "Parity":
         return Parity.ODD if self is Parity.EVEN else Parity.EVEN
-
-    @classmethod
-    def from_char(cls, symbol: str) -> "Parity":
-        try:
-            return cls(symbol.upper())
-        except ValueError:
-            raise ValueError(f"not a parity symbol: {symbol!r}") from None
 
 
 class MutationRule(Enum):
@@ -193,8 +186,3 @@ def transitions(config: DieConfig, rule: MutationRule) -> list[RollResult]:
 def is_frozen(config: DieConfig, rule: MutationRule) -> bool:
     """True when no roll can change the configuration."""
     return all(event.state == config for event in event_table(rule)[config.validate()])
-
-
-def flip_parities(config: DieConfig) -> DieConfig:
-    """Swap the roles of even and odd in a configuration."""
-    return config.validate().flipped()

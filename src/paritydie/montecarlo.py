@@ -35,8 +35,7 @@ from .enumeration import PathDistribution
 
 __all__ = [
     "AbsorptionSample", "BatchSummary", "SimulationRun", "absorption_frequencies",
-    "batch", "derive_seed", "max_multinomial_deviation", "path_chi_square",
-    "simulate_path",
+    "batch", "derive_seed", "max_multinomial_deviation", "simulate_path",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -90,16 +89,14 @@ class SimulationRun:
     def sequence(self) -> str:
         return "".join(parity.char for parity in self.tosses)
 
-    def even_count(self) -> int:
-        return sum(parity is Parity.EVEN for parity in self.tosses)
-
 
 @dataclass(frozen=True)
 class BatchSummary:
     """Order-insensitive tallies over independent simulation runs.
 
-    ``sequences`` is populated only when the toss count is small enough to
-    track full paths (see ``SEQUENCE_TRACKING_CAP``).
+    ``sequences`` counts each toss string when ``tosses`` is at most
+    ``SEQUENCE_TRACKING_CAP`` and is None above it; a string's frequency is
+    ``sequences[s] / runs``.
     """
 
     rule: MutationRule
@@ -119,13 +116,6 @@ class BatchSummary:
         mean = self.even_count_mean()
         total = sum(c * (k - mean) ** 2 for k, c in self.even_counts.items())
         return sqrt(total / (self.runs - 1)) if self.runs > 1 else 0.0
-
-    def sequence_frequencies(self) -> dict[str, float]:
-        if self.sequences is None:
-            raise ValueError(
-                f"sequences are not tracked for {self.tosses} tosses"
-            )
-        return {seq: count / self.runs for seq, count in sorted(self.sequences.items())}
 
     def to_jsonable(self) -> dict:
         return {
@@ -192,15 +182,13 @@ def batch(
     runs: int,
     master_seed: int,
     workers: int = 1,
-    track_sequences: bool | None = None,
 ) -> BatchSummary:
     """Aggregate ``runs`` independent simulation runs, one after another.
 
-    ``track_sequences=None`` tracks full paths automatically when ``tosses``
-    is at most ``SEQUENCE_TRACKING_CAP``.  ``workers`` is kept for
-    compatibility and no longer changes how runs execute: every run is
-    stepped serially, and the summary depends only on (rule, tosses, runs,
-    master_seed).
+    Whole toss strings are counted if and only if ``tosses`` is at most
+    ``SEQUENCE_TRACKING_CAP``.  ``workers`` is kept for compatibility and no
+    longer changes how runs execute: every run is stepped serially, and the
+    summary depends only on (rule, tosses, runs, master_seed).
     """
     if runs < 1:
         raise ValueError(f"run count must be at least 1, got {runs}")
@@ -208,8 +196,7 @@ def batch(
         raise ValueError(f"toss count must be nonnegative, got {tosses}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    if track_sequences is None:
-        track_sequences = tosses <= SEQUENCE_TRACKING_CAP
+    track_sequences = tosses <= SEQUENCE_TRACKING_CAP
     tables = _sampler_tables(rule)
     even_counts: Counter = Counter()
     final_configs: Counter = Counter()
@@ -259,6 +246,8 @@ def absorption_frequencies(
     """
     if runs < 1:
         raise ValueError(f"run count must be at least 1, got {runs}")
+    if max_steps < 0:
+        raise ValueError(f"step limit must be nonnegative, got {max_steps}")
     tables = _sampler_tables(rule)
     counts: Counter = Counter()
     unabsorbed = 0
@@ -271,20 +260,6 @@ def absorption_frequencies(
         else:
             unabsorbed += 1
     return AbsorptionSample(rule, runs, master_seed, dict(counts), unabsorbed, total_steps)
-
-
-def path_chi_square(summary: BatchSummary, exact: PathDistribution) -> tuple[float, int]:
-    """Pearson goodness-of-fit statistic against the exact path distribution.
-
-    Returns (statistic, degrees of freedom); the summary must have tracked
-    sequences of the same length as the distribution's depth.
-    """
-    observed = _observed_sequences(summary, exact)
-    statistic = 0.0
-    for sequence, probability in exact.entries.items():
-        expected = summary.runs * float(probability)
-        statistic += (observed.get(sequence, 0) - expected) ** 2 / expected
-    return statistic, len(exact.entries) - 1
 
 
 def max_multinomial_deviation(summary: BatchSummary, exact: PathDistribution) -> float:

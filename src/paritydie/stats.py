@@ -27,12 +27,10 @@ from .serialize import fraction_fields
 
 __all__ = [
     "PrefixRecord", "RunEvent", "RunThresholdError", "SequentialReport", "TestReport",
-    "TossSequence", "binomial_moments", "default_run_threshold", "exact_binomial_tail",
-    "fairness_report", "normal_cdf", "normal_quantile", "proportion_after",
-    "run_probability", "scenario", "sequential_report", "z_score",
+    "binomial_moments", "default_run_threshold", "exact_binomial_tail", "fairness_report",
+    "normal_cdf", "normal_quantile", "run_probability", "scenario", "sequential_report",
+    "z_score",
 ]
-
-TossSequence = list[Parity]
 
 HALF = Fraction(1, 2)
 DEFAULT_RUN_LEVEL = Fraction(1, 1000)
@@ -150,14 +148,7 @@ def default_run_threshold(
     return length
 
 
-def proportion_after(sequence: Sequence[Parity]) -> float:
-    """Fraction of even outcomes in a nonempty toss sequence."""
-    if not sequence:
-        raise ValueError("toss sequence is empty")
-    return sum(p is Parity.EVEN for p in sequence) / len(sequence)
-
-
-def scenario(scenario_id: int) -> TossSequence:
+def scenario(scenario_id: int) -> list[Parity]:
     """Three 100-toss orderings that share 58 even outcomes.
 
     1: 58 evens then 42 odds; 2: 42 evens, 42 odds, 16 evens; 3: 42

@@ -103,6 +103,21 @@ def labelled_step_distributions(
     return configs, counts
 
 
+def path_chi_square(summary, exact) -> tuple[float, int]:
+    """Pearson goodness of fit of a batch's toss strings to the exact path distribution.
+
+    Returns (statistic, degrees of freedom).  The batch must have counted its
+    toss strings, under the distribution's rule and at its depth.
+    """
+    assert summary.sequences is not None
+    assert (summary.rule, summary.tosses) == (exact.rule, exact.depth)
+    statistic = 0.0
+    for sequence, probability in exact.entries.items():
+        expected = summary.runs * float(probability)
+        statistic += (summary.sequences.get(sequence, 0) - expected) ** 2 / expected
+    return statistic, len(exact.entries) - 1
+
+
 def transitive_closure(matrix) -> list[list[bool]]:
     """reach[i][j] is True when j is reachable from i in zero or more steps."""
     n = len(matrix)

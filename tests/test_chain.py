@@ -13,7 +13,6 @@ from paritydie import (
     chain_report,
     classify,
     is_ergodic,
-    long_run_share,
 )
 from paritydie.chain import _eliminate
 
@@ -152,27 +151,29 @@ def test_copy_absorption_is_flip_symmetric():
 
 
 def test_copy_long_run_shares():
-    chain = build_chain(COPY)
-    assert long_run_share(chain, DieConfig(2, 0, 1)) == Fraction(2, 3)
-    assert long_run_share(chain, (3, 0, 0)) == Fraction(1)
-    assert long_run_share(chain, (0, 0, 3)) == Fraction(0)
-    assert long_run_share(chain, (1, 0, 2)) == Fraction(1, 3)
-    shares = {entry.even_share for entry in absorption(chain).entries}
-    assert shares == {Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)}
+    shares = {entry.states: entry.even_share for entry in absorption(build_chain(COPY)).entries}
+    assert shares == {
+        (DieConfig(3, 0, 0),): Fraction(1),
+        (DieConfig(2, 0, 1),): Fraction(2, 3),
+        (DieConfig(1, 0, 2),): Fraction(1, 3),
+        (DieConfig(0, 0, 3),): Fraction(0),
+    }
 
 
 def test_long_run_share_of_irreducible_chains():
-    assert long_run_share(build_chain(NONE), (0, 3, 0)) == Fraction(1, 2)
-    chain = build_chain(INCREMENT)
-    assert long_run_share(chain, chain.states) == Fraction(1, 2)
+    for rule in (NONE, INCREMENT):
+        chain = build_chain(rule)
+        (entry,) = absorption(chain).entries
+        assert set(entry.states) == set(chain.states)
+        assert entry.even_share == Fraction(1, 2)
 
 
 def test_long_run_share_rejects_open_classes():
-    chain = build_chain(COPY)
-    with pytest.raises(ValueError):
-        long_run_share(chain, (0, 3, 0))
-    with pytest.raises(ValueError):
-        long_run_share(chain, [(3, 0, 0), (0, 0, 3)])
+    # only closed classes carry a long-run share; the open start class has none
+    report = absorption(build_chain(COPY))
+    assert all(DieConfig(0, 3, 0) not in entry.states for entry in report.entries)
+    with pytest.raises(KeyError):
+        report.probability_of(DieConfig(0, 3, 0))
 
 
 def test_absorption_of_irreducible_chain():

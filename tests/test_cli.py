@@ -516,6 +516,26 @@ def test_closed_pipe_stops_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts entries of /proc/self/fd")
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    saved = os.dup(1)
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read, write = os.pipe()
+            os.dup2(write, 1)  # fd 1 is now a pipe that nobody reads
+            os.close(read)
+            os.close(write)
+            with open(1, "w", closefd=False) as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert run(["simulate", "--tosses", "40", "--runs", "10", "--emit"]) == EXIT_OK
+        after = len(os.listdir("/proc/self/fd"))
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert after == before
+
+
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),

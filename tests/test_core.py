@@ -10,7 +10,6 @@ from paritydie import (
     MutationRule,
     Parity,
     all_configs,
-    flip_parities,
     initial_config,
     is_frozen,
     parity_probability,
@@ -37,9 +36,9 @@ def test_initial_config():
 
 
 def test_parity_flip_involution():
-    assert flip_parities(DieConfig(2, 0, 1)) == (1, 0, 2)
-    assert flip_parities(DieConfig(0, 3, 0)) == (0, 3, 0)
-    assert flip_parities(flip_parities(DieConfig(2, 1, 0))) == (2, 1, 0)
+    assert DieConfig(2, 0, 1).flipped() == (1, 0, 2)
+    assert DieConfig(0, 3, 0).flipped() == (0, 3, 0)
+    assert DieConfig(2, 1, 0).flipped().flipped() == (2, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -156,29 +155,27 @@ def test_merging_preserves_event_mass(config, rule):
 def test_parity_helpers():
     assert Parity.EVEN.flip() is Parity.ODD
     assert Parity.ODD.flip() is Parity.EVEN
-    assert Parity.from_char("e") is Parity.EVEN
+    assert Parity("e".upper()) is Parity.EVEN
     with pytest.raises(ValueError):
-        Parity.from_char("x")
+        Parity("X")
     assert MutationRule.from_name("COPY") is COPY
     with pytest.raises(ValueError):
         MutationRule.from_name("bogus")
 
 
-# The package's public names before each module listed its own.
+# The package's public names, one for each question the library answers.
 PACKAGE_NAMES = {
     "AbsorptionEntry", "AbsorptionReport", "AbsorptionSample", "BatchSummary",
     "ChainClassification", "ChainModel", "ConfigDistribution", "DepthRangeError", "DieConfig",
     "ErgodicityVerdict", "MAX_DEPTH", "MutationRule", "Parity", "PathDistribution",
     "PrefixRecord", "RollResult", "RunEvent", "RunThresholdError", "SequentialReport",
-    "SimulationRun", "TestReport", "TossSequence", "absorption", "absorption_frequencies",
+    "SimulationRun", "TestReport", "absorption", "absorption_frequencies",
     "all_configs", "batch", "binomial_moments", "build_chain", "chain_report", "classify",
     "config_distribution", "default_run_threshold", "derive_seed", "exact_binomial_tail",
-    "fairness_report", "flip_parities", "imbalance_distribution", "initial_config",
-    "is_ergodic", "is_frozen", "long_run_share", "max_multinomial_deviation",
-    "next_even_probability", "normal_cdf", "normal_quantile", "parity_probability",
-    "path_chi_square", "path_distribution", "proportion_after", "roll_events",
-    "run_probability", "scenario", "sequential_report", "simulate_path", "transitions",
-    "z_score",
+    "fairness_report", "imbalance_distribution", "initial_config", "is_ergodic", "is_frozen",
+    "max_multinomial_deviation", "next_even_probability", "normal_cdf", "normal_quantile",
+    "parity_probability", "path_distribution", "roll_events", "run_probability", "scenario",
+    "sequential_report", "simulate_path", "transitions", "z_score",
 }
 
 

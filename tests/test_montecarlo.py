@@ -18,13 +18,14 @@ from paritydie import (
     derive_seed,
     is_frozen,
     max_multinomial_deviation,
-    path_chi_square,
     path_distribution,
     roll_events,
     simulate_path,
     transitions,
 )
-from paritydie.montecarlo import _sampler_tables
+from paritydie.montecarlo import SEQUENCE_TRACKING_CAP, _sampler_tables
+
+from oracles import path_chi_square
 
 COPY = MutationRule.PARITY_COPY
 NONE = MutationRule.NO_MUTATION
@@ -107,10 +108,8 @@ def test_batch_argument_validation():
 
 def test_sequence_tracking_cap():
     assert batch(COPY, 3, 10, 0).sequences is not None
-    assert batch(COPY, 13, 10, 0).sequences is None
-    assert batch(COPY, 13, 10, 0, track_sequences=True).sequences is not None
-    with pytest.raises(ValueError):
-        batch(COPY, 13, 10, 0).sequence_frequencies()
+    assert sum(batch(COPY, SEQUENCE_TRACKING_CAP, 10, 0).sequences.values()) == 10
+    assert batch(COPY, SEQUENCE_TRACKING_CAP + 1, 10, 0).sequences is None
 
 
 def test_single_toss_frequency_is_balanced():
@@ -156,12 +155,12 @@ def test_depth_four_deviations():
 def test_chi_square_input_validation():
     summary = batch(COPY, 3, 100, master_seed=1)
     with pytest.raises(ValueError):
-        path_chi_square(summary, path_distribution(COPY, 4))
+        max_multinomial_deviation(summary, path_distribution(COPY, 4))
     with pytest.raises(ValueError):
-        path_chi_square(summary, path_distribution(NONE, 3))
+        max_multinomial_deviation(summary, path_distribution(NONE, 3))
     untracked = batch(COPY, 13, 10, master_seed=1)
     with pytest.raises(ValueError):
-        path_chi_square(untracked, path_distribution(COPY, 3))
+        max_multinomial_deviation(untracked, path_distribution(COPY, 3))
 
 
 def test_absorption_frequencies_small():
@@ -185,6 +184,13 @@ def test_absorption_frequencies_without_frozen_states():
     sample = absorption_frequencies(MutationRule.INCREMENT, 5, 0, max_steps=50)
     assert sample.unabsorbed == 5
     assert sample.counts == {}
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+def test_absorption_frequencies_rejects_a_negative_step_limit(rule):
+    with pytest.raises(ValueError, match="step limit"):
+        absorption_frequencies(rule, 10, 0, max_steps=-3)
+    assert absorption_frequencies(rule, 10, 0, max_steps=0).runs == 10
 
 
 def test_no_mutation_absorbs_immediately():

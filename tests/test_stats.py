@@ -14,7 +14,6 @@ from paritydie import (
     exact_binomial_tail,
     normal_cdf,
     normal_quantile,
-    proportion_after,
     run_probability,
     scenario,
     sequential_report,
@@ -192,11 +191,15 @@ def test_default_run_threshold_near_one():
 
 
 def test_proportion_after():
-    assert proportion_after([E] * 3 + [O] * 7) == 0.3
-    assert proportion_after([E] * 9) == 1.0
-    assert proportion_after(scenario(1)) == 0.58
+    def proportion(tosses):
+        report = fairness_report(tosses)
+        return report.even_count / report.n
+
+    assert proportion([E] * 3 + [O] * 7) == 0.3
+    assert proportion([E] * 9) == 1.0
+    assert proportion(scenario(1)) == 0.58
     with pytest.raises(ValueError):
-        proportion_after([])
+        fairness_report([])
 
 
 def test_scenarios():
