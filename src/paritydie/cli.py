@@ -8,11 +8,12 @@ exits 2.  Given fixed seed flags, identical invocations produce
 byte-identical output.
 
 Each report is built once, as its JSON payload.  JSON is printed exactly as
-``json.dumps(payload, indent=2)`` prints it, with lists of flat rows encoded
-at C speed.  Every CSV except ``test``'s is the payload's rows flattened,
-so JSON and CSV cells agree by construction.  ``test --format csv`` writes
-each sequential row as the replay yields it, once every flag and the
-stream have been checked; ``test`` as JSON gathers the whole report first.
+``json.dumps(payload, indent=2)`` prints it; the handler hands over its list
+of flat rows, if any, apart from the payload, and the rows are encoded at C
+speed a chunk at a time.  Every CSV except ``test``'s is the payload's rows
+flattened, so JSON and CSV cells agree by construction.  ``test`` writes
+each sequential record as the replay yields it, in both formats, once every
+flag and the stream have been checked, and never holds them all.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import itertools
 import json
 import os
 import sys
+from collections import deque
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +35,7 @@ from .core import MutationRule, Parity
 from .enumeration import path_distribution
 from .montecarlo import batch, derive_seed, simulate_path
 from .serialize import fraction_fields
-from .stats import fairness_report, prefix_rows, scenario, sequential_report
+from .stats import SequentialReport, fairness_report, prefix_rows, scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,25 +127,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# JSON scalars: a dict whose values are all of these types is a flat row.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
+# Stands in a payload where its row list goes; ``_print_json`` writes the rows there.
+_ROWS = "\0rows"
+# Rows given to the C encoder at a time, so a streamed row list is never held whole.
+_CHUNK_ROWS = 4096
 
 
-def _is_rows(value) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty flat dicts."""
-    return (
-        type(value) in (list, tuple)
-        and bool(value)
-        and type(value[0]) is dict
-        and _SCALARS.issuperset(map(type, value[0].values()))
-        and set(map(type, value)) == {dict}
-        and all(value)
-        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, value))))
-    )
-
-
-def _dumps_rows(rows, level: int) -> str:
-    """A row list as ``json.dumps(indent=2)`` writes it ``level`` deep, in one C-encoder call.
+def _dumps_rows(rows: list, level: int) -> str:
+    """Rows as ``json.dumps(indent=2)`` writes a list's items ``level`` deep, in one C-encoder call.
 
     The rows are encoded with the separator that goes between the items of
     one row; then each ``},<sep>{`` between two rows is given its own lines.
@@ -152,53 +144,36 @@ def _dumps_rows(rows, level: int) -> str:
     inner = outer + "  "
     text = json.dumps(rows, separators=("," + inner, ": "))[2:-2]
     text = text.replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
-    return "[" + outer + "{" + inner + text + outer + "}\n" + "  " * level + "]"
+    return outer + "{" + inner + text + outer + "}"
 
 
-def _dumps_with_rows(value, level: int) -> str | None:
-    """``value`` as ``json.dumps(indent=2)`` writes it ``level`` deep, or None.
+def _print_json(payload: dict, rows: Iterable[dict] | None = None) -> None:
+    """Print ``json.dumps(payload, indent=2)``, with ``rows`` where ``_ROWS`` stands.
 
-    Row lists reached through dicts are written by ``_dumps_rows``.  None
-    means there are none, and the caller writes ``value`` whole.
+    With ``indent`` set, ``json`` encodes in pure Python.  The rows, flat
+    and non-empty dicts, go to the C encoder instead, ``_CHUNK_ROWS`` at a
+    time.  ``_ROWS`` must be a value in a dict of the payload, and its text
+    must appear nowhere else in it.
     """
-    if type(value) is not dict:
-        return _dumps_rows(value, level) if _is_rows(value) else None
-    texts = {
-        key: _dumps_with_rows(item, level + 1)
-        for key, item in value.items()
-        if type(item) in (dict, list, tuple)
-    }
-    if not any(texts.values()) or not all(type(key) is str for key in value):
-        return None
-    newline = "\n" + "  " * (level + 1)
-    fields = (
-        json.dumps(key)
-        + ": "
-        + (texts.get(key) or json.dumps(item, indent=2).replace("\n", newline))
-        for key, item in value.items()
-    )
-    return "{" + newline + ("," + newline).join(fields) + "\n" + "  " * level + "}"
-
-
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte.
-
-    With ``indent`` set, ``json`` encodes in pure Python.  Lists of flat rows
-    (``test`` records, ``enumerate`` entries) go to the C encoder instead;
-    a payload without any goes to ``json.dumps`` whole.
-    """
-    text = _dumps_with_rows(payload, 0)
-    return json.dumps(payload, indent=2) if text is None else text
-
-
-def _print_json(payload: dict) -> None:
     # Exact tails of long streams hold integers past the 4300-digit str() limit
     # that Python 3.10.7+ sets by default; lift it while printing.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(_json_text(payload))
+        text = json.dumps(payload, indent=2)
+        if rows is None:
+            sys.stdout.write(text + "\n")
+            return
+        head, _, tail = text.partition(json.dumps(_ROWS))
+        line = head[head.rfind("\n") + 1 :]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        sys.stdout.write(head + "[")
+        rows, separator = iter(rows), ""
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            sys.stdout.write(separator + _dumps_rows(chunk, level))
+            separator = ","
+        sys.stdout.write(("\n" + "  " * level if separator else "") + "]" + tail + "\n")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -310,8 +285,9 @@ _CSV = {
 }
 
 # Each handler returns its report's JSON payload, which ``run`` writes as JSON
-# or, through ``_CSV``, as CSV.  ``test --format csv`` returns its CSV header
-# and streamed rows instead.  A handler that writes its own output
+# or, through ``_CSV``, as CSV.  A handler with a row list to stream returns a
+# pair instead: the JSON payload with ``_ROWS`` in the list's place, or the
+# CSV header, and then the rows.  A handler that writes its own output
 # (``--emit``) or refuses returns an exit code.
 
 
@@ -337,7 +313,11 @@ def _cmd_table(args):
 
 
 def _cmd_enumerate(args):
-    return path_distribution(args.rule, args.depth).to_jsonable()
+    payload = path_distribution(args.rule, args.depth).to_jsonable()
+    if args.format == "csv":
+        return payload
+    entries, payload["entries"] = payload["entries"], _ROWS
+    return payload, entries
 
 
 def _cmd_chain(args):
@@ -391,21 +371,32 @@ def _cmd_test(args):
     if not tosses:
         print("error: the input contains no tosses", file=sys.stderr)
         return EXIT_DATA
-    replay = (
-        tosses, args.p0, args.alpha, args.t_min, args.run_threshold,
-        not args.one_sided, args.bonferroni,
+    replay = partial(
+        prefix_rows, tosses, args.p0, args.alpha, args.t_min,
+        two_sided=not args.one_sided, bonferroni=args.bonferroni,
     )
-    if args.format == "json":
-        report = fairness_report(tosses, args.p0, args.alpha)
-        sequential = sequential_report(*replay)
-        return {"report": report.to_jsonable(), "sequential": sequential.to_jsonable()}
-    # CSV prints only the sequential rows: it skips the exact tail, refuses
-    # what JSON refuses before its header, and writes each row as it comes.
-    fairness_report(tosses, args.p0, args.alpha, exact=False)
-    _, _, rows = prefix_rows(*replay)
-    return ["t", "even_count", "z", "flag"], (
-        [t, evens, z, int(z_flag or run_flag)] for t, evens, z, z_flag, run_flag in rows
+    # CSV prints only the sequential rows, so it skips the exact tail.  Both
+    # formats refuse the same input here, before any output.
+    report = fairness_report(tosses, args.p0, args.alpha, exact=args.format == "json")
+    run_threshold, run_events, rows = replay(args.run_threshold)
+    if args.format == "csv":
+        return ["t", "even_count", "z", "flag"], (
+            [t, evens, z, int(z_flag or run_flag)] for t, evens, z, z_flag, run_flag in rows
+        )
+    # JSON writes first_rejection and run_events before the records: one pass
+    # finds and fills them, and a second replay streams the records.
+    first_rejection = next((t for t, _, _, z_flag, run_flag in rows if z_flag or run_flag), None)
+    deque(rows, maxlen=0)
+    sequential = SequentialReport(
+        args.p0, args.alpha, args.t_min, run_threshold, not args.one_sided,
+        args.bonferroni, (), tuple(run_events), first_rejection,
+    ).to_jsonable()
+    sequential["records"] = _ROWS
+    records = (
+        {"t": t, "even_count": evens, "z": z, "z_flag": z_flag, "run_flag": run_flag}
+        for t, evens, z, z_flag, run_flag in replay(run_threshold)[2]
     )
+    return {"report": report.to_jsonable(), "sequential": sequential}, records
 
 
 def _cmd_scenario(args):
@@ -569,7 +560,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         elif isinstance(result, dict):
             _print_json(result)
         elif isinstance(result, tuple):
-            _print_csv(*result)
+            (_print_csv if args.format == "csv" else _print_json)(*result)
         sys.stdout.flush()
         return result if isinstance(result, int) else EXIT_OK
     except BrokenPipeError:

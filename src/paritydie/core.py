@@ -38,9 +38,6 @@ class Parity(Enum):
         # a plain attribute: samplers read it once per toss
         self.char = char
 
-    def flip(self) -> "Parity":
-        return Parity.ODD if self is Parity.EVEN else Parity.EVEN
-
 
 class MutationRule(Enum):
     """How a roll rewrites the hidden face opposite the rolled one.

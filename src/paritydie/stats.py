@@ -9,8 +9,8 @@ with identical totals can part ways long before the final count is in.
 The replay is written once, as the lazy rows of ``prefix_rows``, which
 checks every parameter before the first row.  ``sequential_report``
 gathers the rows into slotted, frozen ``PrefixRecord``s (so ``vars()`` of
-a record fails; use its fields); the command line's CSV output writes them
-as they come and never holds them all.
+a record fails; use its fields); the command line writes them as they
+come, as CSV rows or JSON records, and never holds them all.
 """
 
 from __future__ import annotations

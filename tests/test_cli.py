@@ -1,14 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import paritydie
@@ -16,6 +18,7 @@ from paritydie import (
     MutationRule,
     Parity,
     exact_binomial_tail,
+    fairness_report,
     path_distribution,
     scenario,
     sequential_report,
@@ -26,7 +29,9 @@ from paritydie.cli import (
     EXIT_OK,
     EXIT_RANGE,
     EXIT_USAGE,
-    _json_text,
+    _CHUNK_ROWS,
+    _ROWS,
+    _print_json,
     format_sequence,
     parse_sequence,
     run,
@@ -377,11 +382,12 @@ def test_test_p0_at_the_float_edges_names_the_flag(tmp_path, capsys, p0, shown, 
     [["--alpha", "5e-324"], ["--alpha", "5e-324", "--one-sided"], ["--p0", "99999/100000"]],
 )
 def test_test_csv_refuses_before_its_header(tmp_path, capsys, flags):
-    # refusals the library makes, past the flag checks
+    # refusals the library makes, past the flag checks; JSON refuses them alike
     stream = tmp_path / "tosses.txt"
     stream.write_text("E" * 30)
-    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--format", "csv", *flags)
-    assert (code, out) == (EXIT_RANGE, "")
+    for fmt in ("csv", "json"):
+        code, out, _ = invoke(capsys, "test", "--input", str(stream), "--format", fmt, *flags)
+        assert (code, out) == (EXIT_RANGE, "")
 
 
 def test_test_csv_streams_every_prefix(tmp_path, capsys):
@@ -561,15 +567,85 @@ _JSON_TREES = st.recursive(
 )
 
 
-@given(_JSON_TREES)
-def test_json_writer_matches_json_dumps(value):
+def _holding(inner):
+    """Dicts of JSON trees with ``inner`` under one more key, at any position."""
+
+    def insert(parts):
+        tree, key, value, position = parts
+        items = [item for item in tree.items() if item[0] != key]
+        items.insert(position, (key, value))
+        return dict(items)
+
+    siblings = st.dictionaries(st.text(), _JSON_TREES, max_size=1)
+    return st.tuples(siblings, st.text(), inner, st.integers(0, 1)).map(insert)
+
+
+def _filled(tree, rows):
+    if tree == _ROWS:
+        return rows
+    if type(tree) is dict:
+        return {key: _filled(value, rows) for key, value in tree.items()}
+    return tree
+
+
+def _json_output(payload, rows=None) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(payload, rows)
+    return out.getvalue()
+
+
+def _expected_json(value) -> str:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        assert _json_text(value) == json.dumps(value, indent=2)
-        # the same tree one level down, as payloads hold their rows
-        assert _json_text({"rows": value}) == json.dumps({"rows": value}, indent=2)
+        return json.dumps(value, indent=2) + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+@given(_holding(st.recursive(st.just(_ROWS), _holding, max_leaves=3)), st.one_of(st.just([]), _FLAT_ROWS))
+def test_json_writer_matches_json_dumps(payload, rows):
+    assume(_expected_json(payload).count(json.dumps(_ROWS)) == 1)  # the writer's precondition
+    assert _json_output(payload, iter(rows)) == _expected_json(_filled(payload, rows))
+
+
+def test_json_writer_streams_rows_past_one_chunk():
+    rows = [{"i": i, "x": i / 3, "s": "},\n  {"} for i in range(2 * _CHUNK_ROWS + 1)]
+    payload = {"a": {"rows": _ROWS, "b": None}, "c": [1]}
+    assert _json_output(payload, iter(rows)) == _expected_json(_filled(payload, rows))
+
+
+@pytest.mark.parametrize("t_min", [10, 30])
+def test_test_json_is_the_library_report(tmp_path, capsys, t_min):
+    # 20 tosses: --t-min 30 leaves no prefix to test, but the run of 12 still counts
+    text = "E" * 12 + "OE" * 4
+    stream = tmp_path / "tosses.txt"
+    stream.write_text(text)
+    code, out, _ = invoke(capsys, "test", "--input", str(stream), "--t-min", str(t_min))
+    assert code == EXIT_OK
+    tosses = parse_sequence(text)
+    sequential = sequential_report(tosses, t_min=t_min)
+    expected = {
+        "report": fairness_report(tosses).to_jsonable(),
+        "sequential": sequential.to_jsonable(),
+    }
+    assert out == _expected_json(expected)
+    assert sequential.run_events and bool(sequential.records) == (t_min == 10)
+
+
+def test_test_json_memory_is_bounded(tmp_path, monkeypatch):
+    # the records are streamed, so the peak does not grow with the stream's length
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("E" * 39_960 + "O" * 40)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert run(["test", "--input", str(stream)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 12 * 2**20
