@@ -11,9 +11,9 @@ Each report is built once, as its JSON payload.  JSON is printed exactly as
 ``json.dumps(payload, indent=2)`` prints it; the handler hands over its list
 of flat rows, if any, apart from the payload, and the rows are encoded at C
 speed a chunk at a time.  Every CSV except ``test``'s is the payload's rows
-flattened, so JSON and CSV cells agree by construction.  ``test`` writes
-each sequential record as the replay yields it, in both formats, once every
-flag and the stream have been checked, and never holds them all.
+flattened, so JSON and CSV cells agree by construction.  ``test`` checks
+every flag and the stream before the exact tail or any output, then writes
+each sequential record as the replay yields it and never holds them all.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 from collections import deque
 from fractions import Fraction
@@ -58,6 +59,12 @@ PUBLISHED_NONSTANDARD_TABLE = {
 }
 
 
+# A comment, tosses among whitespace, or any other symbol.  ``\s`` and
+# ``str.split`` both take whitespace as ``str.isspace`` does.
+_TOKEN = re.compile(r"#[^\n]*|([EOeo\s]+)|(.)", re.DOTALL)
+_PARITY = {"E": Parity.EVEN, "e": Parity.EVEN, "O": Parity.ODD, "o": Parity.ODD}
+
+
 class SequenceParseError(ValueError):
     """A toss-stream text contained a symbol that is not part of the format."""
 
@@ -75,29 +82,15 @@ class SequenceParseError(ValueError):
 def parse_sequence(text: str) -> list[Parity]:
     """Parse a toss stream: 'E'/'O' in any case; whitespace ignored; '#' comments.
 
-    A '#' starts a comment running to the end of the line.  Any other symbol
-    is an error naming its 1-based position in the raw text.
+    One pass of ``_TOKEN``: a '#' comment runs to the end of the line; any other
+    symbol is an error naming its 1-based position in the raw text.
     """
     tosses: list[Parity] = []
-    in_comment = False
-    for position, symbol in enumerate(text, start=1):
-        if symbol == "\n":
-            in_comment = False
-            continue
-        if in_comment:
-            continue
-        if symbol == "#":
-            in_comment = True
-            continue
-        if symbol.isspace():
-            continue
-        upper = symbol.upper()
-        if upper == "E":
-            tosses.append(Parity.EVEN)
-        elif upper == "O":
-            tosses.append(Parity.ODD)
-        else:
-            raise SequenceParseError(position, symbol)
+    for match in _TOKEN.finditer(text):
+        if match[2]:
+            raise SequenceParseError(match.start() + 1, match[2])
+        if match[1]:
+            tosses += map(_PARITY.__getitem__, "".join(match[1].split()))
     return tosses
 
 
@@ -355,6 +348,8 @@ def _check_test_flags(args) -> None:
         raise ValueError(f"--p0 must lie strictly in (0, 1) as a float, got {p0}")
     if not 0 < args.alpha < 1:
         raise ValueError(f"--alpha must lie strictly in (0, 1), got {args.alpha}")
+    if not args.alpha / 2:
+        raise ValueError(f"--alpha {args.alpha} is too small: half of it underflows to 0")
     if args.t_min < 1:
         raise ValueError(f"--t-min must be at least 1, got {args.t_min}")
     if args.run_threshold is not None and args.run_threshold < 1:
@@ -375,9 +370,6 @@ def _cmd_test(args):
         prefix_rows, tosses, args.p0, args.alpha, args.t_min,
         two_sided=not args.one_sided, bonferroni=args.bonferroni,
     )
-    # CSV prints only the sequential rows, so it skips the exact tail.  Both
-    # formats refuse the same input here, before any output.
-    report = fairness_report(tosses, args.p0, args.alpha, exact=args.format == "json")
     run_threshold, run_events, rows = replay(args.run_threshold)
     if args.format == "csv":
         return ["t", "even_count", "z", "flag"], (
@@ -387,6 +379,8 @@ def _cmd_test(args):
     # finds and fills them, and a second replay streams the records.
     first_rejection = next((t for t, _, _, z_flag, run_flag in rows if z_flag or run_flag), None)
     deque(rows, maxlen=0)
+    # The exact tail comes only now, after every check: it is quadratic in the stream length.
+    report = fairness_report(tosses, args.p0, args.alpha)
     sequential = SequentialReport(
         args.p0, args.alpha, args.t_min, run_threshold, not args.one_sided,
         args.bonferroni, (), tuple(run_events), first_rejection,

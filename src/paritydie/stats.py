@@ -115,10 +115,8 @@ def run_probability(length: int, p: float | Fraction) -> Fraction:
     return Fraction(p) ** length
 
 
-def default_run_threshold(
-    p0: float | Fraction, level: Fraction = DEFAULT_RUN_LEVEL
-) -> int:
-    """Shortest run length L whose chance p0**L under the null falls below ``level``.
+def default_run_threshold(p0: float | Fraction) -> int:
+    """Shortest run length L whose chance p0**L under the null falls below DEFAULT_RUN_LEVEL.
 
     A float estimate of L is settled exactly by integer comparisons of
     a**L * level.denominator with b**L * level.numerator, for p0 = a/b.
@@ -126,7 +124,7 @@ def default_run_threshold(
     MAX_RUN_POWER_BITS bits, which take seconds to build; pass an explicit
     run threshold then.
     """
-    p0, level = Fraction(p0), Fraction(level)
+    p0, level = Fraction(p0), DEFAULT_RUN_LEVEL
     if not 0 < p0 < 1:
         raise ValueError(f"null probability must lie strictly in (0, 1), got {p0}")
     a, b = p0.numerator, p0.denominator
@@ -174,15 +172,14 @@ class TestReport:
     alpha: float
     z: float
     p_value_one_sided: float
-    p_value_exact: Fraction | None
+    p_value_exact: Fraction
     reject: bool
 
     def to_jsonable(self) -> dict:
-        exact = self.p_value_exact
         return {
             **vars(self),
             "p0": fraction_fields(self.p0),
-            "p_value_exact": fraction_fields(exact) if exact is not None else None,
+            "p_value_exact": fraction_fields(self.p_value_exact),
         }
 
 
@@ -190,12 +187,11 @@ def fairness_report(
     sequence: Sequence[Parity],
     p0: float | Fraction = HALF,
     alpha: float = 0.05,
-    exact: bool = True,
 ) -> TestReport:
     """Two-sided z-test of the even count, with the exact upper tail attached.
 
     ``p_value_one_sided`` is the normal upper-tail exceedance 1 - Phi(z);
-    ``p_value_exact`` is the exact binomial P(X >= even_count).
+    ``p_value_exact`` is the exact binomial P(X >= even_count), always summed (quadratic in n).
     """
     if not sequence:
         raise ValueError("toss sequence is empty")
@@ -205,7 +201,7 @@ def fairness_report(
     n = len(sequence)
     evens = sum(p is Parity.EVEN for p in sequence)
     z = z_score(evens, n, p0)
-    tail = exact_binomial_tail(n, evens, p0) if exact else None
+    tail = exact_binomial_tail(n, evens, p0)
     reject = abs(z) >= _critical_value(alpha / 2, alpha)
     return TestReport(n, evens, p0, alpha, z, 1.0 - normal_cdf(z), tail, reject)
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, sqrt
 
-from paritydie import MutationRule
+from paritydie import MutationRule, Parity
+from paritydie.cli import SequenceParseError
 
 
 def brute_force_path_distribution(rule: MutationRule, depth: int) -> dict[str, Fraction]:
@@ -180,3 +181,33 @@ def run_threshold_by_powers(p0: Fraction, level: Fraction) -> int:
     while p0**length >= level:
         length += 1
     return length
+
+
+def scan_sequence(text: str) -> list[Parity]:
+    """Parse a toss stream character by character, as ``cli.parse_sequence`` must.
+
+    'E'/'O' in any case; whitespace as ``str.isspace`` has it is skipped; a
+    '#' starts a comment running to the next newline.  Any other symbol
+    raises SequenceParseError with its 1-based position.
+    """
+    tosses: list[Parity] = []
+    in_comment = False
+    for position, symbol in enumerate(text, start=1):
+        if symbol == "\n":
+            in_comment = False
+            continue
+        if in_comment:
+            continue
+        if symbol == "#":
+            in_comment = True
+            continue
+        if symbol.isspace():
+            continue
+        upper = symbol.upper()
+        if upper == "E":
+            tosses.append(Parity.EVEN)
+        elif upper == "O":
+            tosses.append(Parity.ODD)
+        else:
+            raise SequenceParseError(position, symbol)
+    return tosses

@@ -37,6 +37,7 @@ from paritydie.cli import (
     run,
 )
 from paritydie.montecarlo import derive_seed
+from oracles import scan_sequence
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -65,6 +66,23 @@ def test_parse_sequence_error_position():
     assert "position 2" in str(err.value)
     with pytest.raises(ValueError):
         parse_sequence("EE 9")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc.position, exc.symbol, str(exc)
+
+
+# Every symbol class of the grammar, with Unicode whitespace and look-alikes
+# (Cyrillic and fullwidth E) that a hand-rolled pattern could get wrong.
+_STREAM_SYMBOLS = "EOeo#\n" + " \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000" + "xX0\u0415\uff45\udcff"
+
+
+@given(st.lists(st.sampled_from(_STREAM_SYMBOLS), max_size=200).map("".join))
+def test_parse_sequence_matches_the_character_scan(text):
+    assert _parsed(parse_sequence, text) == _parsed(scan_sequence, text)
 
 
 def test_enumerate_json(capsys):
@@ -351,6 +369,8 @@ def test_undecodable_byte_reads_the_same_from_file_and_stdin(tmp_path, capsys, m
         ["--alpha", "1.5"],
         ["--p0", "0"],
         ["--p0", "3/2"],
+        ["--alpha", "5e-324"],
+        ["--alpha", "5e-324", "--one-sided"],
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -361,6 +381,20 @@ def test_test_flag_out_of_range_names_the_flag(tmp_path, capsys, flags, fmt):
     assert code == EXIT_RANGE
     assert out == ""  # refused before the CSV header
     assert err.startswith(f"error: {flags[0]} ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_test_refuses_before_the_exact_tail(tmp_path, capsys, monkeypatch, fmt):
+    # the default run threshold for this p0 is out of reach; the tail must not run first
+    def tail(*args):
+        raise AssertionError("the exact tail ran before every check had passed")
+
+    monkeypatch.setattr("paritydie.stats.exact_binomial_tail", tail)
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EO" * 8)
+    code, out, err = invoke(capsys, "test", "--input", str(stream), "--format", fmt, "--p0", "99999/100000")
+    assert (code, out) == (EXIT_RANGE, "")
+    assert "--run-threshold" in err
 
 
 @pytest.mark.parametrize(

@@ -228,7 +228,6 @@ def test_reports_agree_across_scenarios():
 
 
 def test_report_options():
-    assert fairness_report(scenario(1), exact=False).p_value_exact is None
     assert fairness_report([E] * 30).reject is True
     with pytest.raises(ValueError):
         fairness_report([])
