@@ -366,6 +366,10 @@ def _cmd_test(args):
     if not tosses:
         print("error: the input contains no tosses", file=sys.stderr)
         return EXIT_DATA
+    # the Bonferroni level is alpha over the prefixes tested, so only now can it be checked
+    tests = max(len(tosses) - args.t_min + 1, 1)
+    if args.bonferroni and not args.alpha / tests / (1 if args.one_sided else 2):
+        raise ValueError(f"--alpha {args.alpha} is too small for --bonferroni over {tests} prefixes")
     replay = partial(
         prefix_rows, tosses, args.p0, args.alpha, args.t_min,
         two_sided=not args.one_sided, bonferroni=args.bonferroni,

@@ -8,8 +8,8 @@ Sampling converts the face counts of ``core.event_table`` to cumulative
 double thresholds in the fixed event order (EE roll, EO even face, EO odd face,
 OO roll); one uniform draw per toss picks the first bracket containing it.
 One stepping function, ``_walk``, does this for ``simulate_path``, ``batch``
-and ``absorption_frequencies``; runs execute serially (``batch`` keeps its
-``workers`` keyword for compatibility only).
+and ``absorption_frequencies``, serially; once the configuration is frozen,
+it classifies the rest of a run's draws in C against one cut.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat, starmap
 from math import sqrt
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .core import (
     FACE_COUNT,
@@ -43,6 +43,7 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 SEQUENCE_TRACKING_CAP = 12
 _START = initial_config()
+_OUTCOMES = (Parity.EVEN, Parity.ODD)  # indexed by a frozen tail's odd flag
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -87,7 +88,7 @@ class SimulationRun:
     trajectory: tuple[DieConfig, ...]
 
     def sequence(self) -> str:
-        return "".join(parity.char for parity in self.tosses)
+        return "".join([parity.char for parity in self.tosses])
 
 
 @dataclass(frozen=True)
@@ -140,19 +141,24 @@ class BatchSummary:
 def _walk(tables, seed, limit, until_frozen=False):
     """Step one run of up to ``limit`` tosses from a generator seeded with ``seed``.
 
-    Each toss takes one uniform draw and scans the thresholds of the current
-    configuration for its bracket.  Returns the (outcome, next config) pair of
-    every toss and the final configuration; ``until_frozen`` stops before
-    drawing once the configuration is frozen.
+    Until the configuration freezes, each toss takes one uniform draw and scans
+    the current thresholds for its bracket.  Returns the (outcome, next config)
+    pair of each such toss, the final configuration, and the frozen tail: one
+    lazy bool per toss left, True when odd, or ``()``.  Even events come first,
+    so a frozen draw is even exactly when it lies below the last even threshold,
+    the cut.  ``until_frozen`` stops at the freeze instead, before drawing.
     """
     uniform = random.Random(seed).random
     config = _START
     path = []
     step = path.append
-    for _ in range(limit):
+    for t in range(limit):
         thresholds, results, frozen = tables[config]
-        if frozen and until_frozen:
-            break
+        if frozen:
+            if until_frozen:
+                break
+            cut = config.even_faces / FACE_COUNT
+            return path, config, map(ge, starmap(uniform, repeat((), limit - t)), repeat(cut))
         draw = uniform()
         k = 0
         while draw >= thresholds[k]:
@@ -160,19 +166,19 @@ def _walk(tables, seed, limit, until_frozen=False):
         result = results[k]
         step(result)
         config = result[1]
-    return path, config
+    return path, config, ()
 
 
 def simulate_path(rule: MutationRule, tosses: int, seed: int) -> SimulationRun:
     """Sample a toss path; deterministic given (rule, tosses, seed)."""
     if tosses < 0:
         raise ValueError(f"toss count must be nonnegative, got {tosses}")
-    path, _ = _walk(_sampler_tables(rule), seed, tosses)
+    path, config, tail = _walk(_sampler_tables(rule), seed, tosses)
     return SimulationRun(
         rule=rule,
         seed=seed,
-        tosses=tuple(map(itemgetter(0), path)),
-        trajectory=(_START, *map(itemgetter(1), path)),
+        tosses=(*map(itemgetter(0), path), *map(_OUTCOMES.__getitem__, tail)),
+        trajectory=(_START, *map(itemgetter(1), path), *repeat(config, tosses - len(path))),
     )
 
 
@@ -181,21 +187,17 @@ def batch(
     tosses: int,
     runs: int,
     master_seed: int,
-    workers: int = 1,
 ) -> BatchSummary:
     """Aggregate ``runs`` independent simulation runs, one after another.
 
     Whole toss strings are counted if and only if ``tosses`` is at most
-    ``SEQUENCE_TRACKING_CAP``.  ``workers`` is kept for compatibility and no
-    longer changes how runs execute: every run is stepped serially, and the
-    summary depends only on (rule, tosses, runs, master_seed).
+    ``SEQUENCE_TRACKING_CAP``; above it a frozen tail is summed, not kept.
+    The summary depends only on (rule, tosses, runs, master_seed).
     """
     if runs < 1:
         raise ValueError(f"run count must be at least 1, got {runs}")
     if tosses < 0:
         raise ValueError(f"toss count must be nonnegative, got {tosses}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
     track_sequences = tosses <= SEQUENCE_TRACKING_CAP
     tables = _sampler_tables(rule)
     even_counts: Counter = Counter()
@@ -203,13 +205,15 @@ def batch(
     sequences: Counter = Counter()
     frozen_runs = 0
     for i in range(runs):
-        path, config = _walk(tables, derive_seed(master_seed, i), tosses)
+        path, config, tail = _walk(tables, derive_seed(master_seed, i), tosses)
         outcomes = [outcome for outcome, _ in path]
-        even_counts[outcomes.count(Parity.EVEN)] += 1
+        if track_sequences:
+            outcomes += map(_OUTCOMES.__getitem__, tail)
+            sequences["".join([outcome.char for outcome in outcomes])] += 1
+        # the tosses not in outcomes are the tail's; a consumed tail sums to 0
+        even_counts[outcomes.count(Parity.EVEN) + tosses - len(outcomes) - sum(tail)] += 1
         final_configs[config] += 1
         frozen_runs += tables[config][2]
-        if track_sequences:
-            sequences["".join([outcome.char for outcome in outcomes])] += 1
     return BatchSummary(
         rule, tosses, runs, master_seed, dict(even_counts), dict(final_configs), frozen_runs,
         dict(sequences) if track_sequences else None,
@@ -249,11 +253,13 @@ def absorption_frequencies(
     if max_steps < 0:
         raise ValueError(f"step limit must be nonnegative, got {max_steps}")
     tables = _sampler_tables(rule)
+    if tables[_START][2]:  # every run is absorbed at step 0 and draws nothing
+        return AbsorptionSample(rule, runs, master_seed, {_START: runs}, 0, 0)
     counts: Counter = Counter()
     unabsorbed = 0
     total_steps = 0
     for i in range(runs):
-        path, config = _walk(tables, derive_seed(master_seed, i), max_steps, True)
+        path, config, _ = _walk(tables, derive_seed(master_seed, i), max_steps, True)
         if tables[config][2]:
             counts[config] += 1
             total_steps += len(path)

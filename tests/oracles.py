@@ -5,12 +5,17 @@ oracles work on a position-labeled die (six faces, mutated in place) and the
 reachability oracle is a boolean transitive closure.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, sqrt
 
-from paritydie import MutationRule, Parity
+from paritydie import MutationRule, Parity, derive_seed, initial_config
 from paritydie.cli import SequenceParseError
+from paritydie.montecarlo import (
+    SEQUENCE_TRACKING_CAP, AbsorptionSample, BatchSummary, SimulationRun, _sampler_tables,
+)
 
 
 def brute_force_path_distribution(rule: MutationRule, depth: int) -> dict[str, Fraction]:
@@ -211,3 +216,71 @@ def scan_sequence(text: str) -> list[Parity]:
         else:
             raise SequenceParseError(position, symbol)
     return tosses
+
+
+def per_toss_walk(tables, seed, limit, until_frozen=False):
+    """The sampler's stepping loop with one Python step per toss, every pair kept.
+
+    Each toss takes one uniform draw and scans the thresholds of the current
+    configuration for its bracket, frozen or not.  Returns the (outcome, next
+    config) pair of every toss and the final configuration; ``until_frozen``
+    stops before drawing once the configuration is frozen.
+    """
+    uniform = random.Random(seed).random
+    config = initial_config()
+    path = []
+    for _ in range(limit):
+        thresholds, results, frozen = tables[config]
+        if frozen and until_frozen:
+            break
+        draw = uniform()
+        k = 0
+        while draw >= thresholds[k]:
+            k += 1
+        path.append(results[k])
+        config = results[k][1]
+    return path, config
+
+
+def per_toss_simulate_path(rule: MutationRule, tosses: int, seed: int) -> SimulationRun:
+    path, _ = per_toss_walk(_sampler_tables(rule), seed, tosses)
+    return SimulationRun(
+        rule, seed, tuple(outcome for outcome, _ in path),
+        (initial_config(), *(config for _, config in path)),
+    )
+
+
+def per_toss_batch(rule: MutationRule, tosses: int, runs: int, master_seed: int) -> BatchSummary:
+    tables = _sampler_tables(rule)
+    even_counts: Counter = Counter()
+    final_configs: Counter = Counter()
+    sequences: Counter = Counter()
+    frozen_runs = 0
+    for i in range(runs):
+        path, config = per_toss_walk(tables, derive_seed(master_seed, i), tosses)
+        sequence = "".join(outcome.char for outcome, _ in path)
+        even_counts[sequence.count("E")] += 1
+        final_configs[config] += 1
+        frozen_runs += tables[config][2]
+        sequences[sequence] += 1
+    tracked = tosses <= SEQUENCE_TRACKING_CAP
+    return BatchSummary(
+        rule, tosses, runs, master_seed, dict(even_counts), dict(final_configs), frozen_runs,
+        dict(sequences) if tracked else None,
+    )
+
+
+def per_toss_absorption(
+    rule: MutationRule, runs: int, master_seed: int, max_steps: int
+) -> AbsorptionSample:
+    tables = _sampler_tables(rule)
+    counts: Counter = Counter()
+    unabsorbed = total_steps = 0
+    for i in range(runs):
+        path, config = per_toss_walk(tables, derive_seed(master_seed, i), max_steps, True)
+        if tables[config][2]:
+            counts[config] += 1
+            total_steps += len(path)
+        else:
+            unabsorbed += 1
+    return AbsorptionSample(rule, runs, master_seed, dict(counts), unabsorbed, total_steps)

@@ -263,6 +263,17 @@ def test_test_subcommand_alpha_that_underflows(tmp_path, capsys, flags):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_test_bonferroni_alpha_that_underflows_names_both_flags(tmp_path, capsys, fmt):
+    # alpha/2 is a positive float, but alpha/2 over the 991 prefixes of 1,000 tosses is 0
+    stream = tmp_path / "tosses.txt"
+    stream.write_text("EO" * 500)
+    flags = ["--alpha", "1e-321", "--bonferroni", "--format", fmt]
+    code, out, err = invoke(capsys, "test", "--input", str(stream), *flags)
+    assert (code, out) == (EXIT_RANGE, "")
+    assert "--alpha" in err and "--bonferroni" in err
+
+
 def test_test_subcommand_p0_near_one(tmp_path, capsys):
     stream = tmp_path / "tosses.txt"
     stream.write_text("E" * 30)

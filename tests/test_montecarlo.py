@@ -5,10 +5,13 @@ so each carries a false-failure chance of order 1e-4 under the fixed seeds
 baked in here; the seeds make the suite deterministic in practice.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritydie import (
     MutationRule,
@@ -25,7 +28,9 @@ from paritydie import (
 )
 from paritydie.montecarlo import SEQUENCE_TRACKING_CAP, _sampler_tables
 
-from oracles import path_chi_square
+from oracles import (
+    path_chi_square, per_toss_absorption, per_toss_batch, per_toss_simulate_path, per_toss_walk,
+)
 
 COPY = MutationRule.PARITY_COPY
 NONE = MutationRule.NO_MUTATION
@@ -91,19 +96,11 @@ def test_batch_matches_individual_runs():
     assert sum(summary.final_configs.values()) == 40
 
 
-def test_batch_is_parallelism_independent():
-    serial = batch(COPY, 4, 1000, master_seed=5, workers=1)
-    threaded = batch(COPY, 4, 1000, master_seed=5, workers=4)
-    assert serial == threaded
-
-
 def test_batch_argument_validation():
     with pytest.raises(ValueError):
         batch(COPY, 3, 0, 0)
     with pytest.raises(ValueError):
         batch(COPY, -1, 10, 0)
-    with pytest.raises(ValueError):
-        batch(COPY, 3, 10, 0, workers=0)
 
 
 def test_sequence_tracking_cap():
@@ -199,6 +196,15 @@ def test_no_mutation_absorbs_immediately():
     assert sample.mean_steps() == 0
 
 
+def test_absorption_seeds_no_generator_when_nothing_is_drawn(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a frozen start needs no draws")
+
+    expected = per_toss_absorption(NONE, 10, 0, 10_000)
+    monkeypatch.setattr("paritydie.montecarlo.random.Random", refuse)
+    assert absorption_frequencies(NONE, 10, 0) == expected
+
+
 def test_batch_summary_jsonable():
     payload = batch(COPY, 2, 50, master_seed=9).to_jsonable()
     assert payload["rule"] == "copy"
@@ -244,3 +250,53 @@ def test_absorption_matches_first_frozen_step_of_simulated_paths(rule):
     assert (sample.counts, sample.unabsorbed, sample.total_steps) == (counts, unabsorbed, total_steps)
     if rule is COPY:
         assert last_draw > 0 and unabsorbed > 0
+
+
+# A frozen die's tosses are classified in C against one cut; the per-toss
+# reference walk scans every toss's thresholds, so the two must agree exactly.
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+@pytest.mark.parametrize("tosses", [0, 1, SEQUENCE_TRACKING_CAP, SEQUENCE_TRACKING_CAP + 1, 200])
+def test_tally_walk_matches_the_per_toss_walk(rule, tosses):
+    assert batch(rule, tosses, 30, 5) == per_toss_batch(rule, tosses, 30, 5)
+    for seed in range(10):
+        assert simulate_path(rule, tosses, seed) == per_toss_simulate_path(rule, tosses, seed)
+
+
+@pytest.mark.parametrize("rule", list(MutationRule))
+@pytest.mark.parametrize("max_steps", [0, 1, 5])
+def test_absorption_matches_the_per_toss_walk(rule, max_steps):
+    sample = absorption_frequencies(rule, 100, 3, max_steps)
+    assert sample == per_toss_absorption(rule, 100, 3, max_steps)
+
+
+def test_absorption_of_a_run_frozen_on_its_last_allowed_toss():
+    tables = _sampler_tables(COPY)
+    path, config = per_toss_walk(tables, derive_seed(0, 0), 100, True)
+    steps = len(path)  # a copy die needs at least three tosses to freeze
+    assert tables[config][2] and steps >= 3
+    sample = absorption_frequencies(COPY, 1, 0, max_steps=steps)
+    assert (sample.counts, sample.unabsorbed, sample.total_steps) == ({config: 1}, 0, steps)
+    assert sample == per_toss_absorption(COPY, 1, 0, steps)
+    short = absorption_frequencies(COPY, 1, 0, max_steps=steps - 1)
+    assert (short.counts, short.unabsorbed) == ({}, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(MutationRule)), st.integers(0, 2**64 - 1), st.integers(0, 300))
+def test_tally_walk_sweep(rule, seed, tosses):
+    assert simulate_path(rule, tosses, seed) == per_toss_simulate_path(rule, tosses, seed)
+    assert batch(rule, tosses, 3, seed) == per_toss_batch(rule, tosses, 3, seed)
+
+
+def test_batch_memory_is_bounded_once_frozen():
+    batch(COPY, 1, 1, 0)  # fill the sampler tables first
+    tracemalloc.start()
+    try:
+        summary = batch(COPY, 10**6, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.frozen_runs == 1
+    assert peak < 2**20
